@@ -135,8 +135,8 @@ def check_daemon_under_faults() -> None:
         fail(f"connect-flap retry broken: answer={answer} "
              f"failures={client.connect_failures}")
 
-    # Pinned adversarial instance: a clique source maximizes the
-    # canonical-labeling search, a big clique target the branching.
+    # Pinned adversarial instance: a clique source into a big clique
+    # target maximizes the counting kernels' branching.
     adversarial = make_hom_count_task(
         "adv-0",
         clique_structure(7, relation="E"),

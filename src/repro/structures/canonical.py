@@ -27,22 +27,35 @@ form of :mod:`repro.structures.interned`):
    class in turn, re-refine, and recurse; every discrete leaf coloring
    is a candidate labeling, and the lexicographically smallest relabeled
    fact table is the canonical certificate.
+3. **Automorphism pruning** (McKay & Piperno, "Practical graph
+   isomorphism, II", 2014; the orbit pruning of nauty and bliss) — each
+   leaf is filed under its certificate; two leaves with one certificate
+   give an automorphism ``leaf₁⁻¹∘leaf₂``.  A target-cell vertex in the
+   orbit of an explored sibling, under the found automorphisms that fix
+   the node's individualized vertices pointwise, is skipped, and a
+   branch is left as soon as a new automorphism maps it onto an
+   explored sibling.
+
+Pruning never changes a key.  Refinement and the choice of target cell
+commute with automorphisms, so a pruned branch is an automorphic image
+of an explored one and yields the same certificates; the minimum is
+the one the full search finds (pinned on a corpus by
+``tests/test_canonical_golden.py``).  A ``k``-clique costs about
+``k²/2`` refinements rather than the ``k!`` leaves of its full tree.
 
 Isolated elements are interchangeable, so they never enter the search;
 the certificate records their count (the ``|dom|`` factor of frozen
-bodies survives canonicalization).  Worst-case the search visits
-``|Aut|``-many equivalent leaves (e.g. ``k!`` for a ``k``-clique) —
-fine for the small connected components the library canonicalizes, and
-property-tested against ``find_isomorphism`` as ground truth.
+bodies survives canonicalization).  Property-tested against
+``find_isomorphism`` as ground truth.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.faults.budget import active_budget
-from repro.structures.interned import InternedStructure, interned
+from repro.structures.interned import InternedStructure
 from repro.structures.structure import Structure
 
 # incidences[v] = ((relation, position, row), ...) for every occurrence
@@ -114,18 +127,70 @@ def _canonical_certificate(inter: InternedStructure) -> Tuple:
     n = inter.n_active
     if n == 0:
         return _certificate(inter, [])
-    incidences = _incidences(inter, n)
-    colors = _refine(n, incidences, [0] * n)
-    best: List[Tuple] = []
-    # Highly symmetric sources visit |Aut|-many leaves, each paying a
-    # full refinement pass — for a clique that is seconds of work
-    # before any counting kernel runs, so a deadline must reach in
-    # here too.  (A trip aborts the lru_cache fill; nothing partial is
-    # memoized.)
+    # A deadline must reach in here too, not just the counting kernels.
+    # The search checks it once up front (a pruned search may end well
+    # before its first stride) and then every 64 nodes.  A trip aborts
+    # the memo fill, so nothing partial is memoized.
     budget = active_budget()
+    if budget is not None:
+        budget.charge(0)
     nodes = 0
+    incidences = _incidences(inter, n)
+    # The first leaf labeling seen with each certificate; a later leaf
+    # with an equal certificate yields an automorphism.  The least
+    # certificate filed is the canonical one.
+    leaves: Dict[Tuple, List[int]] = {}
+    automorphisms: List[List[int]] = []
+    # The vertices individualized on the way to the current node and,
+    # per depth on that path, the orbits of the found automorphisms
+    # that fix path[:depth] pointwise (a union-find parent array) and
+    # the target-cell vertices already explored there.
+    path: List[int] = []
+    orbits: List[List[int]] = []
+    explored: List[List[int]] = []
 
-    def search(colors: List[int]) -> None:
+    def find(parent: List[int], vertex: int) -> int:
+        while parent[vertex] != vertex:
+            parent[vertex] = parent[parent[vertex]]
+            vertex = parent[vertex]
+        return vertex
+
+    def join(parent: List[int], automorphism: List[int]) -> None:
+        for vertex, image in enumerate(automorphism):
+            a, b = find(parent, vertex), find(parent, image)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+
+    def covered(depth: int, vertex: int) -> bool:
+        """Is ``vertex`` in the orbit of a sibling explored at ``depth``?"""
+        parent = orbits[depth]
+        root = find(parent, vertex)
+        return any(find(parent, other) == root for other in explored[depth])
+
+    def leaf(colors: List[int]) -> Optional[int]:
+        """File a discrete leaf.  When it yields a new automorphism,
+        return the shallowest depth whose current branch that makes
+        equivalent to an explored sibling (the search unwinds to it)."""
+        certificate = _certificate(inter, colors)
+        first = leaves.get(certificate)
+        if first is None:
+            leaves[certificate] = colors
+            return None
+        vertex_at = [0] * n
+        for vertex, position in enumerate(first):
+            vertex_at[position] = vertex
+        automorphism = [vertex_at[position] for position in colors]
+        automorphisms.append(automorphism)
+        for depth, vertex in enumerate(path):
+            if depth and automorphism[path[depth - 1]] != path[depth - 1]:
+                break
+            join(orbits[depth], automorphism)
+            if covered(depth, vertex):
+                return depth
+        return None
+
+    def search(colors: List[int]) -> Optional[int]:
+        """Explore one node; return the depth to unwind to, if any."""
         nonlocal nodes
         nodes += 1
         if not nodes & 63 and budget is not None:
@@ -139,20 +204,39 @@ def _canonical_certificate(inter: InternedStructure) -> Tuple:
                 target = cells[color]
                 break
         if target is None:
-            candidate = _certificate(inter, colors)
-            if not best or candidate < best[0]:
-                best[:] = [candidate]
-            return
-        for vertex in target:
-            individualized = list(colors)
-            individualized[vertex] = n  # outranks every existing color
-            search(_refine(n, incidences, individualized))
+            return leaf(colors)
+        depth = len(path)
+        parent = list(range(n))
+        for automorphism in automorphisms:
+            if all(automorphism[v] == v for v in path):
+                join(parent, automorphism)
+        orbits.append(parent)
+        explored.append([])
+        try:
+            for vertex in target:
+                if covered(depth, vertex):
+                    continue
+                individualized = list(colors)
+                individualized[vertex] = n  # outranks every existing color
+                path.append(vertex)
+                unwind = search(_refine(n, incidences, individualized))
+                path.pop()
+                explored[depth].append(vertex)
+                if unwind is not None and unwind < depth:
+                    return unwind
+            return None
+        finally:
+            orbits.pop()
+            explored.pop()
 
-    search(colors)
-    return best[0]
+    search(_refine(n, incidences, [0] * n))
+    return min(leaves)
 
 
-@lru_cache(maxsize=8192)
+# 1024 entries hold the 1,022 path shapes the store benchmark cycles
+# through; on a stream of one-off structures (freshly renamed sources)
+# they bound what the memo pins.
+@lru_cache(maxsize=1024)
 def canonical_key(structure: Structure) -> bytes:
     """The canonical byte key of ``structure``'s isomorphism class.
 
@@ -172,15 +256,17 @@ def canonical_key(structure: Structure) -> bytes:
     """
     from repro.structures.components import connected_components
 
+    # The key is memoized, so the interned forms built for it stay out
+    # of the interned() memo: a one-off structure would pin them there.
     components = connected_components(structure)
     if len(components) <= 1:
-        certificate = _canonical_certificate(interned(structure))
+        certificate = _canonical_certificate(InternedStructure(structure))
     else:
-        inter = interned(structure)
+        inter = InternedStructure(structure)
         certificate = (
             inter.n, inter.n - inter.n_active,
             ("components", tuple(sorted(
-                _canonical_certificate(interned(component))
+                _canonical_certificate(InternedStructure(component))
                 for component in components))),
         )
     return repr(certificate).encode("utf-8")

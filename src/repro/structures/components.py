@@ -56,7 +56,7 @@ def connected_components(structure: Structure) -> List[Structure]:
     return list(_components_cached(structure))
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=1024)
 def _components_cached(structure: Structure) -> Tuple[Structure, ...]:
     uf = _UnionFind()
     for constant in structure.domain():
@@ -81,6 +81,10 @@ def _components_cached(structure: Structure) -> Tuple[Structure, ...]:
             continue
         root = uf.find(("c", fact.terms[0]))
         facts_by_root[root].append(fact)
+    if len(groups) + len(nullary_facts) == 1:
+        # Already one component: an equal copy would only be a second
+        # object for the structure caches to pin.
+        return (structure,)
 
     components: List[Structure] = []
     for root, constants in groups.items():

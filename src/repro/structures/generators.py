@@ -7,8 +7,9 @@ distinguisher search of Lemma 40 (:mod:`repro.core.goodbasis`).
 
 from __future__ import annotations
 
+import math
 import random
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import StructureError
 from repro.structures.schema import Schema
@@ -48,6 +49,88 @@ def clique_structure(size: int, relation: str = "R", loops: bool = False,
         if loops or i != j
     ]
     return Structure(facts, schema=schema, domain=range(size))
+
+
+def _undirected(pairs, relation: str) -> List[Fact]:
+    facts = []
+    for a, b in pairs:
+        facts.append(Fact(relation, (a, b)))
+        facts.append(Fact(relation, (b, a)))
+    return facts
+
+
+def hypercube_structure(dimension: int, relation: str = "R",
+                        schema: Optional[Schema] = None) -> Structure:
+    """The hypercube ``Q_d``: vertices ``0..2^d-1``, an edge (both
+    directions) between labels differing in one bit."""
+    if dimension < 1:
+        raise StructureError("hypercube dimension must be >= 1")
+    size = 1 << dimension
+    pairs = [(v, v ^ (1 << bit)) for v in range(size)
+             for bit in range(dimension) if v < v ^ (1 << bit)]
+    return Structure(_undirected(pairs, relation), schema=schema,
+                     domain=range(size))
+
+
+def paley_structure(q: int, relation: str = "R",
+                    schema: Optional[Schema] = None) -> Structure:
+    """The Paley graph ``P(q)`` for a prime ``q ≡ 1 (mod 4)``: vertices
+    ``0..q-1``, an edge (both directions) where the difference is a
+    nonzero square mod ``q``.  Strongly regular, so 1-WL refinement
+    leaves it a single color class."""
+    if q < 5 or q % 4 != 1 \
+            or any(q % d == 0 for d in range(2, math.isqrt(q) + 1)):
+        raise StructureError("Paley graphs need a prime q ≡ 1 (mod 4)")
+    squares = {x * x % q for x in range(1, q)}
+    pairs = [(i, j) for i in range(q) for j in range(i + 1, q)
+             if (j - i) % q in squares]
+    return Structure(_undirected(pairs, relation), schema=schema,
+                     domain=range(q))
+
+
+def cfi_pair(base: Structure, relation: str = "R",
+             schema: Optional[Schema] = None) -> Tuple[Structure, Structure]:
+    """The Cai–Fürer–Immerman pair ``(untwisted, twisted)`` over the
+    undirected graph of ``base``'s binary facts (directions and loops
+    ignored).
+
+    Each base vertex ``v`` becomes a gadget: a middle vertex
+    ``("m", v, S)`` for every even-size set ``S`` of its edges (``S`` a
+    bitmask over them) and two end vertices ``("a", v, e, 0/1)`` per
+    edge ``e``, the middle vertex joined to end ``1`` of the edges in
+    ``S`` and end ``0`` of the rest.  Each base edge ``{u, v}`` joins the ends of equal bit;
+    the twisted copy crosses them on one edge.  For a connected base
+    the two are not isomorphic, yet equal under 1-WL refinement — the
+    canonical labeling must individualize to tell them apart.
+    """
+    edges = sorted({tuple(sorted((f.terms[0], f.terms[1]), key=repr))
+                    for f in base.facts()
+                    if len(f.terms) == 2 and f.terms[0] != f.terms[1]},
+                   key=repr)
+    if not edges:
+        raise StructureError("the CFI base graph needs at least one edge")
+    incident: Dict = {}
+    for edge in edges:
+        for vertex in edge:
+            incident.setdefault(vertex, []).append(edge)
+    gadget = []
+    for vertex, around in incident.items():
+        for mask in range(1 << len(around)):
+            if bin(mask).count("1") % 2:
+                continue
+            middle = ("m", vertex, mask)
+            gadget.extend(
+                (middle, ("a", vertex, edge, mask >> index & 1))
+                for index, edge in enumerate(around))
+
+    def build(twist) -> Structure:
+        links = [(("a", u, (u, v), bit),
+                  ("a", v, (u, v), bit ^ ((u, v) == twist)))
+                 for u, v in edges for bit in (0, 1)]
+        return Structure(_undirected(gadget + links, relation),
+                         schema=schema)
+
+    return build(None), build(edges[0])
 
 
 def star_structure(rays: int, relation: str = "R",

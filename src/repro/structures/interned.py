@@ -206,8 +206,10 @@ def interned(structure: Structure) -> InternedStructure:
 
     Structures are immutable and hashable, so the compiled form is
     shared by every layer probing the same structure — the engine's
-    target index, the source plan, the canonical labeling and the
-    serializer all reuse one build.
+    target index, the source plan, the isomorphism test and the
+    serializer all reuse one build.  (:func:`canonical_key` builds its
+    own: it memoizes the key, and one-off structures would otherwise
+    pin their interned forms here too.)
     """
     return InternedStructure(structure)
 

@@ -150,6 +150,33 @@ def find_isomorphism(
     return dict(assignment)
 
 
+def neighbour_first(structure: Structure) -> Structure:
+    """``structure`` renamed so that :func:`find_isomorphism`, which
+    assigns ``left``'s constants in ``repr`` order within a color,
+    places each constant after as many of its neighbours as it can.
+
+    Every partial map the backtracking extends is then connected,
+    which keeps its exhaustive search on large 1-WL-uniform inputs (a
+    non-isomorphic CFI pair) to about a second instead of minutes.
+    The result is isomorphic to ``structure``.
+    """
+    neighbours: Dict[Constant, set] = {c: set() for c in structure.domain()}
+    for fact in structure.facts():
+        for a in fact.terms:
+            neighbours[a].update(b for b in fact.terms if b != a)
+    placed_neighbours = dict.fromkeys(neighbours, 0)
+    rest = sorted(neighbours, key=repr)
+    order = []
+    while rest:
+        chosen = max(rest, key=placed_neighbours.__getitem__)
+        rest.remove(chosen)
+        order.append(chosen)
+        for other in neighbours[chosen]:
+            placed_neighbours[other] += 1
+    return structure.rename(
+        {constant: f"v{index:04d}" for index, constant in enumerate(order)})
+
+
 def _image_is_exact(left: Structure, right: Structure,
                     assignment: Dict[Constant, Constant]) -> bool:
     """With equal fact counts, an injective homomorphism is onto the

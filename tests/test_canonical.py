@@ -21,20 +21,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import StructureError
+from repro.faults.budget import Budget, use_budget
 from repro.hom.count import count_homs
 from repro.hom.engine import HomEngine
 from repro.hom.search import count_homomorphisms_direct
 from repro.structures.canonical import canonical_key, canonical_stats, wl_colors
 from repro.structures.generators import (
+    cfi_pair,
     clique_structure,
     cycle_structure,
     grid_structure,
+    hypercube_structure,
+    paley_structure,
     path_structure,
     random_structure,
     star_structure,
 )
 from repro.structures.interned import InternTable, interned
-from repro.structures.isomorphism import are_isomorphic, find_isomorphism
+from repro.structures.isomorphism import (
+    are_isomorphic,
+    find_isomorphism,
+    neighbour_first,
+)
 from repro.structures.schema import Schema
 from repro.structures.serialization import loads, dumps, structure_from_dict
 from repro.structures.structure import Fact, Structure
@@ -108,13 +116,19 @@ def test_canonical_key_invariant_under_component_permutation(seed):
 def test_canonical_key_on_symmetric_shapes():
     for structure in [cycle_structure(3), cycle_structure(8),
                       clique_structure(5), star_structure(4),
-                      grid_structure(3, 3), path_structure(["R"] * 6)]:
+                      grid_structure(3, 3), path_structure(["R"] * 6),
+                      hypercube_structure(4), paley_structure(13),
+                      paley_structure(17)]:
         renamed = structure.rename({c: ("y", c) for c in structure.domain()})
         assert canonical_key(structure) == canonical_key(renamed)
     # direction-sensitive: out-star vs in-star
     out_star = star_structure(2)
     in_star = Structure([("R", (0, "c")), ("R", (1, "c"))])
     assert canonical_key(out_star) != canonical_key(in_star)
+    # 1-WL-equal: Q3 and the Wagner graph are both 3-regular on 8 vertices
+    wagner = Structure([("R", (i, (i + d) % 8)) for i in range(8)
+                        for d in (1, 4, 7)])
+    assert canonical_key(wagner) != canonical_key(hypercube_structure(3))
 
 
 def test_canonical_key_edge_cases():
@@ -130,6 +144,34 @@ def test_canonical_key_edge_cases():
     assert isinstance(canonical_key(empty), bytes)
     stats = canonical_stats()
     assert stats["keys"] >= 1
+
+
+# ----------------------------------------------------------------------
+# WL-hard families: the automorphism-pruned search
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("base", [cycle_structure(3), clique_structure(4)],
+                         ids=["K3", "K4"])
+def test_cfi_pairs_get_distinct_keys(base):
+    untwisted, twisted = cfi_pair(base)
+    assert canonical_key(untwisted) != canonical_key(twisted)
+    assert find_isomorphism(neighbour_first(untwisted), twisted) is None
+    for index, structure in enumerate((untwisted, twisted)):
+        renamed = _random_rename(structure, index)
+        assert canonical_key(renamed) == canonical_key(structure)
+        assert find_isomorphism(neighbour_first(structure), renamed) is not None
+
+
+@pytest.mark.parametrize("size", [8, 10])
+def test_cliques_canonicalize_inside_a_small_step_budget(size):
+    """Orbit pruning visits a few dozen nodes of a clique's search tree,
+    not its ``size!`` leaves, so a 256-step budget (tripped after 320
+    nodes) never fires.  The relation name keeps the clique out of the
+    key cache, so the search really runs under the budget."""
+    clique = clique_structure(size, relation="Kbudget")
+    with use_budget(Budget(max_steps=256)):
+        key = canonical_key(clique)
+    renamed = clique.rename({v: ("k", -v) for v in clique.domain()})
+    assert canonical_key(renamed) == key
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ fault plan changes nothing.
 from __future__ import annotations
 
 import json
+import random
 import sqlite3
 import time
 
@@ -37,6 +38,7 @@ from repro.hom.engine import HomEngine
 from repro.service.client import DaemonClient, backoff_delay
 from repro.session import SolverSession
 from repro.structures.generators import clique_structure, cycle_structure
+from repro.structures.structure import Structure
 
 
 @pytest.fixture(autouse=True)
@@ -135,8 +137,9 @@ class TestKernelBudgets:
             self.SOURCE, self.TARGET) == expected
 
     def test_canonicalization_respects_deadline(self):
-        # A clique is the worst case for the labeling search (|Aut|
-        # leaves); the deadline must reach it, not just the kernels.
+        # The deadline must reach the labeling search, not just the
+        # kernels.  Pruning visits a clique in a few dozen nodes, so the
+        # search checks the budget on its first node as well.
         from repro.structures.canonical import canonical_key
 
         source = clique_structure(8, relation="E")
@@ -147,6 +150,29 @@ class TestKernelBudgets:
                 canonical_key(source)
         # Nothing partial was memoized: the key computes fine later.
         assert canonical_key(source)
+
+    def test_canonicalization_trips_mid_search(self):
+        # A random 3-regular graph on 70 vertices: 1-WL leaves it one
+        # color class and it has no automorphisms to prune by, so the
+        # search visits the root and one leaf per vertex (71 nodes).
+        # A one-step budget passes the entry check; only the check
+        # every 64 nodes can trip it.
+        from repro.structures.canonical import canonical_key
+
+        rng = random.Random(7)
+        while True:  # pairing model, redrawn until the graph is simple
+            points = [v for v in range(70) for _ in range(3)]
+            rng.shuffle(points)
+            edges = {tuple(sorted(points[i:i + 2]))
+                     for i in range(0, len(points), 2)}
+            if len(edges) == 105 and all(a != b for a, b in edges):
+                break
+        graph = Structure([("Cubic", (a, b)) for a, b in edges]
+                          + [("Cubic", (b, a)) for a, b in edges])
+        with use_budget(Budget(max_steps=1)):
+            with pytest.raises(BudgetExceeded):
+                canonical_key(graph)
+        assert canonical_key(graph)
 
 
 # ----------------------------------------------------------------------

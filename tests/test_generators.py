@@ -7,11 +7,14 @@ import pytest
 from repro.errors import StructureError
 from repro.structures.components import is_connected
 from repro.structures.generators import (
+    cfi_pair,
     clique_structure,
     cycle_structure,
     enumerate_structures,
     grid_structure,
+    hypercube_structure,
     loop_structure,
+    paley_structure,
     path_structure,
     random_connected_structure,
     random_structure,
@@ -71,6 +74,48 @@ class TestDeterministicFamilies:
         s = loop_structure(["R", "S"])
         assert s.has_fact("R", ("a", "a"))
         assert s.has_fact("S", ("a", "a"))
+
+
+class TestWLHardFamilies:
+    @staticmethod
+    def degrees(structure):
+        out = {v: 0 for v in structure.domain()}
+        for fact in structure.facts():
+            out[fact.terms[0]] += 1
+        return set(out.values())
+
+    def test_hypercube(self):
+        q = hypercube_structure(3)
+        assert len(q.domain()) == 8 and q.count_facts("R") == 2 * 12
+        assert q.has_fact("R", (0b010, 0b110)) and q.has_fact("R", (6, 2))
+        assert self.degrees(q) == {3} and is_connected(q)
+        with pytest.raises(StructureError):
+            hypercube_structure(0)
+
+    def test_paley(self):
+        p = paley_structure(13)
+        assert len(p.domain()) == 13 and p.count_facts("R") == 13 * 6
+        assert p.has_fact("R", (0, 1)) and not p.has_fact("R", (0, 2))
+        assert self.degrees(p) == {6}
+        for bad in (1, 7, 9, 21):
+            with pytest.raises(StructureError):
+                paley_structure(bad)
+
+    def test_cfi_pair_over_k4(self):
+        untwisted, twisted = cfi_pair(clique_structure(4))
+        # per base vertex: 4 even edge subsets + 2 ends for each of 3 edges
+        assert len(untwisted.domain()) == len(twisted.domain()) == 40
+        assert untwisted.count_facts() == twisted.count_facts() == 2 * 60
+        assert self.degrees(untwisted) == self.degrees(twisted) == {3}
+        assert untwisted != twisted
+        assert is_connected(untwisted) and is_connected(twisted)
+
+    def test_cfi_pair_over_a_triangle(self):
+        # degree-2 gadgets: untwisted is two 9-cycles, twisted one 18-cycle
+        untwisted, twisted = cfi_pair(cycle_structure(3))
+        assert not is_connected(untwisted) and is_connected(twisted)
+        with pytest.raises(StructureError):
+            cfi_pair(loop_structure(["R"]))
 
 
 class TestRandomFamilies:
