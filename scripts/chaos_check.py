@@ -16,7 +16,12 @@ run asserts, against a single seeded :class:`repro.faults.FaultPlan`:
   daemon are absorbed by the client's retry/backoff loop;
 * **deadlines** — a pinned adversarial request (``K7 → K25`` under
   ``deadline_ms=50``) comes back as a structured ``budget-exceeded``
-  error in well under 500 ms and does not poison later requests.
+  error in well under 500 ms and does not poison later requests;
+* **async-daemon worker kills** — the poisoned task kills its
+  ``serve start --async`` worker process (``os._exit``); that request
+  alone is answered with a deterministic ``worker-crash`` record, every
+  other answer is byte-identical to a clean run, a fresh worker takes
+  over, and the daemon keeps serving, then drains and exits 0.
 
 Exits nonzero with a labeled message on the first violated assertion.
 
@@ -30,6 +35,8 @@ from __future__ import annotations
 import glob
 import json
 import os
+import socket
+import subprocess
 import sys
 import tempfile
 import threading
@@ -37,7 +44,7 @@ import time
 
 sys.path.insert(0, "src")
 
-from repro.batch.runner import run_batch  # noqa: E402
+from repro.batch.runner import iter_results, run_batch  # noqa: E402
 from repro.batch.scenarios import generate_scenario, write_scenario  # noqa: E402
 from repro.batch.tasks import canonical_json, make_hom_count_task  # noqa: E402
 from repro.faults import (  # noqa: E402
@@ -167,9 +174,86 @@ def check_daemon_under_faults() -> None:
           f"budget-exceeded in {elapsed_ms:.0f}ms, follow-up clean")
 
 
+def _pipeline(port: int, lines) -> list:
+    """Send every line on one connection, then read every answer."""
+    with socket.create_connection(("127.0.0.1", port), timeout=60) as sock:
+        with sock.makefile("rw", encoding="utf-8") as wire:
+            for line in lines:
+                wire.write(line + "\n")
+            wire.flush()
+            return [wire.readline().rstrip("\n") for _ in lines]
+
+
+def check_async_daemon_under_faults(workdir: str) -> None:
+    lines = [canonical_json(task)
+             for task in generate_scenario("mixed", 10, seed=11)]
+    clean = list(iter_results(lines, workers=1))
+    plan = os.path.join(workdir, "serve-plan.json")
+    with open(plan, "w") as sink:
+        json.dump({"seed": CHAOS_SEED,
+                   "serve.worker": {"task_ids": [POISONED]}}, sink)
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    env = dict(os.environ, REPRO_FAULT_PLAN=plan,
+               PYTHONPATH=os.pathsep.join(
+                   [os.path.abspath("src"), os.environ.get("PYTHONPATH", "")]))
+    daemon = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "start", "--async",
+         "--port", str(port), "--workers", "2",
+         "--tenant-max-inflight", "64", "--no-request-log"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    try:
+        client = DaemonClient("127.0.0.1", port)
+        client.wait_until_ready(timeout=30)
+        # Pipelined, so the task behind the poisoned one is already in
+        # the dying worker's pipe when it exits.
+        served = _pipeline(port, lines)
+        poisoned = [i for i, line in enumerate(lines)
+                    if json.loads(line)["id"] == POISONED]
+        if len(served) != len(lines) or len(poisoned) != 1:
+            fail(f"async daemon answered {len(served)}/{len(lines)} lines")
+        crashed = json.loads(served[poisoned[0]])
+        if crashed != {"id": POISONED, "kind": "decide-cq", "ok": False,
+                       "error": "WorkerCrash: the worker process "
+                                "evaluating this request exited",
+                       "error_kind": "worker-crash"}:
+            fail(f"killed request got {crashed}")
+        for index, (answer, expected) in enumerate(zip(served, clean)):
+            if index != poisoned[0] and answer != expected:
+                fail(f"async survivor {json.loads(expected)['id']} differs "
+                     f"from the clean run")
+        survivors = [line for i, line in enumerate(lines)
+                     if i != poisoned[0]]
+        again = _pipeline(port, survivors)
+        if again != [line for i, line in enumerate(clean)
+                     if i != poisoned[0]]:
+            fail("async daemon answers after the worker restart differ "
+                 "from the clean run")
+        restarts = client.stats()["stats"]["service"]["worker_restarts"]
+        if restarts != 1:
+            fail(f"expected 1 async worker restart, got {restarts}")
+        client.drain()
+        client.close()
+        code = daemon.wait(timeout=60)
+    finally:
+        if daemon.poll() is None:
+            daemon.kill()
+            daemon.wait()
+    if code != 0:
+        fail(f"async daemon exited {code} after drain: "
+             f"{daemon.stderr.read()[-2000:]}")
+    daemon.stderr.close()
+    print(f"chaos check: async daemon OK — 1 worker-crash record, "
+          f"{restarts} worker restart, {len(lines) - 1} survivors and "
+          f"{len(survivors)} later answers byte-identical, drained with "
+          f"exit 0")
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as workdir:
         check_batch_under_faults(workdir)
+        check_async_daemon_under_faults(workdir)
     check_daemon_under_faults()
     print("chaos check: PASS")
     return 0

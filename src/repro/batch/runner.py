@@ -42,7 +42,7 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, Iterable, Iterator, List, Optional, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import ReproError
 from repro.faults.budget import BudgetExceeded, use_budget
@@ -255,6 +255,22 @@ def _pool_context():
         "fork" if "fork" in methods else methods[0])
 
 
+def task_identity(line: str) -> Tuple[Optional[str], Optional[str]]:
+    """``(id, kind)`` of a task line, each ``None`` unless a string —
+    what a record about a task that never produced its own result
+    (quarantine, a crashed serving worker) can still name."""
+    payload = None
+    try:
+        payload = json.loads(line)
+    except json.JSONDecodeError:
+        pass
+    if not isinstance(payload, dict):
+        return None, None
+    task_id, kind = payload.get("id"), payload.get("kind")
+    return (task_id if isinstance(task_id, str) else None,
+            kind if isinstance(kind, str) else None)
+
+
 def _quarantine_record(line: str) -> str:
     """The deterministic error record of a quarantined poison task.
 
@@ -262,16 +278,10 @@ def _quarantine_record(line: str) -> str:
     runs, worker counts and retry schedules, so quarantined output
     diffs clean against itself.
     """
-    payload = None
-    try:
-        payload = json.loads(line)
-    except json.JSONDecodeError:
-        pass
-    task_id = payload.get("id") if isinstance(payload, dict) else None
-    kind = payload.get("kind") if isinstance(payload, dict) else None
+    task_id, kind = task_identity(line)
     return canonical_json({
-        "id": task_id if isinstance(task_id, str) else None,
-        "kind": kind if isinstance(kind, str) else None,
+        "id": task_id,
+        "kind": kind,
         "ok": False,
         "error": "WorkerCrash: task repeatedly killed or hung its "
                  "worker process",

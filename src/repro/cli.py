@@ -36,8 +36,9 @@ daemon — with verbs underneath (the ``kubectl``-style noun/verb idiom):
                   batch task codec over stdio (default) or TCP, one
                   warm solver session shared across every request.
                   ``--async`` runs the asyncio front end instead:
-                  per-tenant sessions, priorities, backpressure, and
-                  an optional ``--http-port`` HTTP/WebSocket facade.
+                  per-tenant sessions in worker processes (one per
+                  usable CPU), priorities, backpressure, and an
+                  optional ``--http-port`` HTTP/WebSocket facade.
 ``serve ping``    liveness probe against a running TCP daemon.
 ``serve stats``   legacy nested statistics from a running daemon.
 ``serve metrics`` full namespaced metrics snapshot (``--prometheus``
@@ -387,6 +388,7 @@ def _cmd_serve_start(args: argparse.Namespace) -> int:
 
     from repro.obs import StructuredLogger
     from repro.service import SolverService, serve_socket, serve_stdio
+    from repro.service.daemon import DEFAULT_WORKERS
 
     if args.cache is None and (args.shards is not None
                                or args.memory_tier is not None
@@ -400,6 +402,8 @@ def _cmd_serve_start(args: argparse.Namespace) -> int:
     if args.http_port is not None:
         raise ReproError("--http-port requires --async (the HTTP/"
                          "WebSocket facade rides the async front end)")
+    if args.workers is None:
+        args.workers = DEFAULT_WORKERS
     service = SolverService(workers=args.workers, store_path=args.cache,
                             shards=args.shards,
                             memory_tier=args.memory_tier,
@@ -479,7 +483,7 @@ def _serve_start_async(args: argparse.Namespace, logger) -> int:
                       if args.http_port is not None else "")
             print(f"repro serve: async listening on "
                   f"{args.host}:{args.port}{facade} "
-                  f"({args.workers} workers)", file=sys.stderr)
+                  f"({service.workers} workers)", file=sys.stderr)
             asyncio.run(_tcp())
         else:
             asyncio.run(_stdio())
@@ -488,15 +492,17 @@ def _serve_start_async(args: argparse.Namespace, logger) -> int:
     finally:
         signal.signal(signal.SIGTERM, previous)
         report = service.stats()
-        engine = report["session"]["engine"]  # type: ignore[index]
+        counters = report["session"]  # summed over the workers' sessions
         svc = report["service"]  # type: ignore[index]
         print(
             f"repro serve: {svc['requests']} requests "
             f"({svc['errors']} errors, {svc['overloaded']} overloaded) "
             f"in {svc['uptime_s']}s across "
             f"{len(report['tenants'])} tenant(s); "  # type: ignore[arg-type]
-            f"memo hits {engine['hits']}+{engine['exists_hits']}, "
-            f"misses {engine['misses']}+{engine['exists_misses']}",
+            f"memo hits {counters.get('engine.memo.hits', 0)}"
+            f"+{counters.get('engine.exists.hits', 0)}, "
+            f"misses {counters.get('engine.memo.misses', 0)}"
+            f"+{counters.get('engine.exists.misses', 0)}",
             file=sys.stderr,
         )
     return 0
@@ -768,8 +774,12 @@ def build_parser() -> argparse.ArgumentParser:
     start.add_argument("--port", type=int, default=None, metavar="N",
                        help="listen on TCP port N; omitted = stdio mode "
                             "(read requests from stdin, answer on stdout)")
-    start.add_argument("--workers", type=int, default=4, metavar="N",
-                       help="bounded request-dispatch pool size (default: 4)")
+    start.add_argument("--workers", type=int, default=None, metavar="N",
+                       help="request-dispatch pool size: threads sharing "
+                            "one session (default: 4), or with --async "
+                            "worker processes holding the tenants' "
+                            "sessions (default: the CPUs this process may "
+                            "use)")
     start.add_argument("--cache", default=None, metavar="PATH",
                        help="persistent hom-count store owned by the "
                             "service session (a file = single SQLite "

@@ -22,6 +22,9 @@ point                 consulted by
                       reason ``"injected"`` → exercises the structured
                       budget-exceeded path and DP→backtracking
                       degradation without wall-clock races)
+``serve.worker``      async-daemon worker processes before evaluating a
+                      request (fires as ``os._exit`` → exercises the
+                      worker-crash record and worker restart)
 ====================  ====================================================
 
 Each point's entry selects invocations three composable ways:
@@ -36,7 +39,8 @@ Each point's entry selects invocations three composable ways:
   get the same fault sequence on every run.
 
 The plan is installed **process-globally** (:func:`install_fault_plan`)
-— batch workers receive it through the pool initializer, and the
+— batch workers receive it through the pool initializer, forked
+async-daemon workers inherit it, and the
 ``REPRO_FAULT_PLAN`` environment variable installs one at import time
 for CLI chaos runs.  No plan installed (or an empty plan) means every
 consult answers "no fault": the property the test suite pins is that a
@@ -54,7 +58,8 @@ from typing import Dict, Optional
 
 from repro.errors import ReproError
 
-POINTS = ("store.lookup", "worker.chunk", "client.connect", "engine.step")
+POINTS = ("store.lookup", "worker.chunk", "client.connect", "engine.step",
+          "serve.worker")
 
 
 class FaultInjected(ReproError):

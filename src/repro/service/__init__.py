@@ -11,9 +11,9 @@ Two front ends share the protocol:
 * the threaded daemon (:mod:`repro.service.daemon`) — one resident
   session, thread-per-connection TCP, the original deployment;
 * the async daemon (:mod:`repro.service.async_daemon`) — asyncio
-  multiplexing, per-tenant sessions with quotas and priorities,
-  admission-control backpressure, and an HTTP/WebSocket facade.
-  See DESIGN.md §16.
+  multiplexing, per-tenant sessions with quotas and priorities in
+  worker processes, admission-control backpressure, and an
+  HTTP/WebSocket facade.  See DESIGN.md §16.
 """
 
 from repro.service.async_daemon import (

@@ -4,21 +4,26 @@ The threaded daemon (:mod:`repro.service.daemon`) is one session behind
 one engine lock behind one thread-per-connection TCP loop: every
 concurrent client queues on the same lock, and management clients dial
 a fresh connection per request.  This module rebuilds the front end on
-one event loop:
+one event loop, with evaluation in worker processes:
 
 * **Connection multiplexing** — ``asyncio`` streams hold thousands of
   persistent connections on one thread; no per-connection OS thread.
-* **Per-tenant sessions** — each connection (or each named tenant
-  across connections; see ``{"op": "hello"}``) gets its own
-  :class:`~repro.service.tenant.Tenant`: an isolated session with its
-  own engine, memo bounds, strategy and PR 8 budget defaults, so
-  independent tenants count in parallel on the bounded executor
-  instead of convoying on one lock.
+* **Per-tenant sessions in pinned worker processes** — each connection
+  (or each named tenant across connections; see ``{"op": "hello"}``)
+  gets its own :class:`~repro.service.tenant.Tenant`, pinned when it
+  is created to the least-loaded of ``workers`` forked worker
+  processes.  That worker owns the tenant's
+  :class:`~repro.session.SolverSession` (own engine, memo bounds,
+  strategy and PR 8 budget defaults).  Tenants on different workers
+  count in parallel on different cores; tenants sharing a worker take
+  turns on it.  The event loop never evaluates: it sends each admitted
+  line down its tenant's worker pipe and resolves the request's future
+  when the answer comes back.
 * **Priorities** — every request may carry ``"priority": <int>``
-  (lower runs earlier; the tenant quota sets the default).  Dispatch
-  is a single priority queue drained by ``workers`` dispatcher
-  coroutines, each running the CPU-bound evaluation on the executor.
-* **Admission-control backpressure** — the dispatch queue and each
+  (lower runs earlier; the tenant quota sets the default).  Each
+  worker keeps at most :data:`PIPE_DEPTH` jobs in its pipe; the rest
+  wait in the parent in a per-worker priority queue.
+* **Admission-control backpressure** — the parent's queues and each
   tenant's in-flight window are bounded; an over-limit request is
   answered *immediately* with a structured ``overloaded`` record
   (``error_kind: "overloaded"``, ``reason: queue-full | tenant-quota
@@ -28,6 +33,10 @@ one event loop:
 * **Streaming batch** — ``{"op": "batch", "tasks": [...]}`` admits a
   whole task list and streams one JSONL result line per task *as each
   finishes* (completion order), closing with a summary line.
+* **Worker supervision** — a worker that dies (EOF on its pipe) costs
+  the request it was evaluating a deterministic ``worker-crash``
+  record; the requests behind it go to a fresh worker, which inherits
+  the dead one's tenants (``service.worker.restarts``).
 
 Protocol compatibility: request lines are exactly the threaded
 daemon's — the batch task codec plus control ops — and responses for
@@ -41,6 +50,11 @@ a ``"rid"`` echo field for client-side correlation (``rid`` is
 stripped before evaluation, so task seeds — and therefore result
 bytes — never depend on it).
 
+Workers start with ``fork``, from the loop thread, before any listening
+socket exists: they inherit the loaded library instead of re-importing
+it, as batch workers do.  The cost is memory — each worker grows its
+own memo, compiled targets and store tier (DESIGN.md §16).
+
 The HTTP/WebSocket facade for browser clients lives in
 :mod:`repro.service.httpgate`, on top of the same dispatch core.
 """
@@ -48,37 +62,286 @@ The HTTP/WebSocket facade for browser clients lives in
 from __future__ import annotations
 
 import asyncio
+import gc
+import heapq
 import itertools
 import json
+import multiprocessing
+import os
+import pickle
+import signal
+import socket
+import stat
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Iterable, IO, List, Optional, Tuple
+from collections import deque
+from typing import Dict, Iterable, IO, List, Optional, Tuple, Union
 
-from repro.batch.runner import evaluate_envelope
+from repro.batch.runner import evaluate_envelope, task_identity
 from repro.batch.tasks import canonical_json
 from repro.errors import ReproError
+from repro.faults.inject import current_fault_plan, should_inject
 from repro.obs.logs import StructuredLogger, new_request_id
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, merge_counter_snapshots
 from repro.obs.trace import collect_phases
-from repro.service.daemon import DEFAULT_WORKERS, ServiceStats
+from repro.service.daemon import ServiceStats
 from repro.service.tenant import (
     LockedStore,
     Tenant,
     TenantQuota,
     TenantRegistry,
 )
+from repro.session import SolverSession
 
 DEFAULT_MAX_QUEUE = 256
 ASYNC_CONTROL_OPS = ("ping", "stats", "metrics", "drain", "shutdown",
                      "hello", "batch")
 
-_QUEUE_STOP = object()
+#: Jobs one worker's pipe holds at once.  Two keep the worker busy
+#: while its last answer travels back; everything else waits in the
+#: parent, where priorities still apply.
+PIPE_DEPTH = 2
+
+#: Exit status of a worker killed by the ``serve.worker`` fault point.
+_FAULT_EXIT = 87
+
+#: Counter namespaces that belong to one session.  Everything else a
+#: session's registry reports (the intern/canonical/bitset/budget
+#: layers, the store) is process-wide, so a worker counts it once.
+_SESSION_SCOPED = ("engine.", "session.")
+
+Number = Union[int, float]
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: the default worker count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity masks
+        return os.cpu_count() or 1
+
+
+# ----------------------------------------------------------------------
+# The pipe between the event loop and a worker
+# ----------------------------------------------------------------------
+# A message is a pickled tuple behind a 4-byte big-endian length.  Both
+# ends are this program, so unpickling never sees foreign bytes.
+def _frame(message: tuple) -> bytes:
+    payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    return len(payload).to_bytes(4, "big") + payload
+
+
+def _read_message(reader) -> Optional[tuple]:
+    """The next message from a blocking reader; ``None`` at EOF."""
+    header = reader.read(4)
+    if len(header) < 4:
+        return None
+    payload = reader.read(int.from_bytes(header, "big"))
+    return pickle.loads(payload)
+
+
+# ----------------------------------------------------------------------
+# Worker processes
+# ----------------------------------------------------------------------
+def _detach_from_parent(channel: socket.socket) -> None:
+    """Undo what ``fork`` copied from the event-loop process.
+
+    The parent's signal handlers (SIGTERM drains *it*; SIGINT belongs
+    to its loop) are reset: the parent stops its workers itself, after
+    draining.  Every inherited socket but this worker's own pipe is
+    closed — sibling workers' pipe ends (else no worker would see EOF
+    when the parent dies), and, in a worker forked to replace a dead
+    one, the listening and client sockets (else a closed connection
+    or a released port would stay open in here).  ``gc.freeze`` first:
+    the parent's objects are then never collected in this process, so
+    none of them closes an fd number this process has since reused.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.set_wakeup_fd(-1)
+    gc.freeze()
+    # A stdio daemon's stdout buffer may hold a response line another
+    # thread was writing at the fork; this copy must never flush it.
+    sys.stdout = open(os.devnull, "w", encoding="utf-8")
+    keep = channel.fileno()
+    directory = "/proc/self/fd" if os.path.isdir("/proc/self/fd") \
+        else "/dev/fd"
+    for name in os.listdir(directory):
+        fd = int(name)
+        if fd <= 2 or fd == keep:
+            continue
+        try:
+            if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.close(fd)
+        except OSError:  # the listing's own descriptor, already gone
+            pass
+
+
+class _WorkerState:
+    """What one worker process owns: its tenants' sessions and one
+    store shared among them through :class:`LockedStore`."""
+
+    def __init__(self, store_path: Optional[str], shards: Optional[int],
+                 memory_tier: Optional[int], preload: int,
+                 log_phases: bool):
+        store = None
+        if store_path is not None:
+            from repro.batch.store import open_store
+
+            store = LockedStore(open_store(store_path, shards=shards,
+                                           memory_tier=memory_tier))
+        self.store = store
+        self.preload = preload if store is not None else 0
+        self.log_phases = log_phases
+        self.sessions: Dict[str, SolverSession] = {}
+        # Session-scoped counters of dropped sessions, so the worker's
+        # totals never run backwards.
+        self.retired: Dict[str, Number] = {}
+        # Evaluates nothing: its registry reads the process-wide and
+        # store counters once for the whole worker.
+        self.shared = SolverSession(store=store)
+
+    def evaluate(self, name: str, quota: Optional[TenantQuota], line: str,
+                 rid) -> tuple:
+        session = self.sessions.get(name)
+        if session is None:
+            # A tenant's quota travels with its first job to a worker.
+            session = self.sessions[name] = SolverSession(
+                store=self.store, strategy=quota.strategy,
+                max_counts=quota.max_counts, max_targets=quota.max_targets,
+                preload=self.preload, default_deadline_ms=quota.deadline_ms)
+        start = time.perf_counter()
+        phases = None
+        try:
+            if self.log_phases:
+                with collect_phases() as phases:
+                    envelope = evaluate_envelope(line, session)
+            else:
+                envelope = evaluate_envelope(line, session)
+        except Exception as exc:  # noqa: BLE001 — the worker keeps serving
+            envelope = {"id": None, "kind": None, "ok": False,
+                        "error": f"InternalError: {type(exc).__name__}: "
+                                 f"{exc}"}
+        elapsed = time.perf_counter() - start
+        kind = envelope.get("kind")
+        ok = bool(envelope.get("ok"))
+        budget_exceeded = envelope.get("error_kind") == "budget-exceeded"
+        task_id = envelope.get("id")
+        if rid is not None:
+            envelope = dict(envelope)
+            envelope["rid"] = rid
+        return ("job", canonical_json(envelope), kind, ok, budget_exceeded,
+                elapsed, task_id, phases, session.tasks_evaluated)
+
+    def drop(self, name: str) -> None:
+        session = self.sessions.pop(name, None)
+        if session is not None:
+            session.close()
+            merge_counter_snapshots(self.retired, _scoped(session))
+
+    def report(self) -> Dict[str, object]:
+        # Every name once (the shared session's own engine and session
+        # counters stay 0), then each session's share on top.
+        counters = self.shared.metrics.counters_snapshot()
+        merge_counter_snapshots(counters, self.retired)
+        for session in self.sessions.values():
+            merge_counter_snapshots(counters, _scoped(session))
+        return {"sessions": sorted(self.sessions), "counters": counters}
+
+    def close(self) -> None:
+        for session in self.sessions.values():
+            session.close()
+        if self.store is not None:
+            self.store.close()
+
+
+def _scoped(session: SolverSession) -> Dict[str, Number]:
+    return {name: value for name, value in
+            session.metrics.counters_snapshot().items()
+            if name.startswith(_SESSION_SCOPED)}
+
+
+def _worker_main(channel: socket.socket, config: tuple) -> None:
+    """A worker's life: answer the parent's messages in order until it
+    says stop (or the pipe closes), then return — so the process exits
+    through multiprocessing's finalizers, after the store's
+    write-behind rows are flushed."""
+    _detach_from_parent(channel)
+    state = _WorkerState(*config)
+    reader = channel.makefile("rb")
+    try:
+        while True:
+            message = _read_message(reader)
+            if message is None:  # the parent is gone
+                return
+            op = message[0]
+            if op == "job":
+                _, name, quota, line, rid = message
+                # The ``serve.worker`` fault point: a poison task kills
+                # its worker outright, like a segfault or the OOM
+                # killer (``os._exit``, so nothing can soften it).
+                if current_fault_plan() is not None and should_inject(
+                        "serve.worker", key=task_identity(line)[0]):
+                    os._exit(_FAULT_EXIT)
+                reply = state.evaluate(name, quota, line, rid)
+            elif op == "drop":
+                state.drop(message[1])
+                continue
+            elif op == "stats":
+                reply = ("stats", state.report())
+            else:  # "stop"
+                if state.store is not None:
+                    state.store.flush()
+                channel.sendall(_frame(("stop", state.report())))
+                return
+            channel.sendall(_frame(reply))
+    except (BrokenPipeError, ConnectionResetError):  # the parent died
+        return
+    finally:
+        state.close()
+        reader.close()
+        channel.close()
+
+
+class _Slot:
+    """One worker slot in the parent: the queue of the tenants pinned
+    to it, and the worker process currently serving them.
+
+    The queue outlives a worker that dies; the process fields are
+    reset and a fresh worker takes over the slot.
+    """
+
+    __slots__ = ("index", "queue", "process", "channel", "inbox", "outbox",
+                 "held", "sessions", "waiters", "counters", "live")
+
+    def __init__(self, index: int):
+        self.index = index
+        # (priority, seq, job) not yet sent; seq breaks ties FIFO.
+        self.queue: List[tuple] = []
+        self.process = None
+        self.channel: Optional[socket.socket] = None
+        self.inbox = bytearray()
+        self.outbox = bytearray()
+        # Queue entries sent down the pipe, in the order the worker
+        # answers them.
+        self.held: deque = deque()
+        # Tenants whose quota this worker has been sent.
+        self.sessions: set = set()
+        # Futures of stats/stop requests, in the order they were sent.
+        self.waiters: deque = deque()
+        # The worker's last reported counters and live sessions.
+        self.counters: Dict[str, Number] = {}
+        self.live: List[str] = []
+
+    def report(self) -> Dict[str, object]:
+        return {"worker": self.index,
+                "pid": self.process.pid if self.process else None,
+                "sessions": list(self.live)}
 
 
 class _Job:
-    """One admitted request travelling through the priority queue."""
+    """One admitted request travelling through a slot's queue."""
 
     __slots__ = ("line", "tenant", "future", "enqueued", "rid")
 
@@ -91,20 +354,34 @@ class _Job:
         self.rid = rid
 
 
+def _worker_crash_record(line: str, rid=None) -> str:
+    """The deterministic record of a request whose worker died while
+    evaluating it (no pid, no timestamp: like a quarantine record)."""
+    task_id, kind = task_identity(line)
+    record = {"id": task_id, "kind": kind, "ok": False,
+              "error": "WorkerCrash: the worker process evaluating this "
+                       "request exited",
+              "error_kind": "worker-crash"}
+    if rid is not None:
+        record["rid"] = rid
+    return canonical_json(record)
+
+
 class AsyncSolverService:
     """The dispatch core every async front end (TCP/stdio/HTTP) shares.
 
-    ``workers`` bounds CPU-bound evaluation concurrency (dispatcher
-    coroutines × executor threads); ``max_queue`` bounds how many
-    admitted requests may wait for a dispatcher before new ones are
-    answered ``overloaded``.  Tenant defaults (``max_inflight``,
+    ``workers`` is the number of worker processes (default: the CPUs
+    this process may use); ``max_queue`` bounds how many admitted
+    requests may wait in the parent before new ones are answered
+    ``overloaded``.  Tenant defaults (``max_inflight``,
     ``request_deadline_ms``, ``strategy``, memo bounds) seed the quota
     every anonymous connection gets; named tenants override them via
-    the hello op.  A ``store_path`` opens one persistent store shared
-    by every tenant through a locking facade.
+    the hello op.  With ``store_path``, each worker opens the
+    persistent store and shares it among its tenants; the parent opens
+    it only to create or migrate it and to import ``preload_pack``.
     """
 
-    def __init__(self, workers: int = DEFAULT_WORKERS,
+    def __init__(self, workers: Optional[int] = None,
                  max_queue: int = DEFAULT_MAX_QUEUE,
                  store_path: Optional[str] = None,
                  shards: Optional[int] = None,
@@ -115,25 +392,27 @@ class AsyncSolverService:
                  logger: Optional[StructuredLogger] = None,
                  request_deadline_ms: Optional[float] = None,
                  max_inflight: Optional[int] = None):
-        self.workers = max(1, workers)
+        self.workers = max(1, workers if workers is not None
+                           else usable_cpus())
         self.max_queue = max(1, max_queue)
         self.logger = logger
         self.started_at = time.monotonic()
-        self._store: Optional[LockedStore] = None
-        self._owns_store = False
         if store_path is not None:
             from repro.batch.store import import_warm_pack, open_store
 
-            raw = open_store(store_path, shards=shards,
-                             memory_tier=memory_tier)
-            if preload_pack is not None:
-                import_warm_pack(raw, preload_pack)
-            self._store = LockedStore(raw)
-            self._owns_store = True
+            store = open_store(store_path, shards=shards,
+                               memory_tier=memory_tier)
+            try:
+                if preload_pack is not None:
+                    import_warm_pack(store, preload_pack)
+            finally:
+                store.close()
         elif shards is not None or memory_tier is not None \
                 or preload_pack is not None:
             raise ReproError(
                 "shards/memory_tier/preload_pack require store_path")
+        self._worker_config = (store_path, shards, memory_tier, preload,
+                               logger is not None)
 
         self.metrics = MetricsRegistry()
         self.stats_counters = ServiceStats(self.metrics)
@@ -144,17 +423,14 @@ class AsyncSolverService:
             strategy=strategy)
         self.tenants = TenantRegistry(self.metrics,
                                       default_quota=default_quota,
-                                      store=self._store,
-                                      preload=preload)
-        # The default tenant answers stdio mode and any connection that
-        # never says hello with a tenant name of its own is *not* given
-        # this one — it gets an anonymous isolated tenant.  The default
-        # tenant's session registry is the one attached below, so the
-        # metrics op reports engine/store counters for the resident
-        # session exactly like the threaded daemon.
+                                      workers=self.workers,
+                                      on_discard=self._drop_session)
+        # The default tenant answers stdio mode; a connection that
+        # never says hello with a tenant name of its own is *not*
+        # given this one — it gets an anonymous isolated tenant.
         self.default_tenant = self.tenants.get_or_create("default")
-        self.metrics.attach(self.default_tenant.session.metrics)
         self._m_overloaded = self.metrics.counter("service.overloaded")
+        self._m_restarts = self.metrics.counter("service.worker.restarts")
         self._queued_us = self.metrics.histogram("service.request.queued_us")
         self.metrics.gauge("service.workers", lambda: self.workers)
         self.metrics.gauge("service.queue.depth", self.queue_depth)
@@ -163,12 +439,17 @@ class AsyncSolverService:
         self.metrics.gauge(
             "service.uptime_s",
             lambda: round(time.monotonic() - self.started_at, 3))
+        # Session, engine and store counters, merged across workers.
+        self.metrics.register_collector(self.worker_counters,
+                                        monotonic=True)
 
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-async")
-        self._queue: "asyncio.PriorityQueue" = None  # built in start()
+        self._slots = [_Slot(index) for index in range(self.workers)]
+        # Final (or last known) counters of workers that have exited.
+        self._retired: Dict[str, Number] = {}
+        self._queued = 0
         self._seq = itertools.count()
-        self._dispatchers: List["asyncio.Task"] = []
+        self._pump_scheduled = False
+        self._reapers: set = set()
         self._draining = False
         self._stopped: Optional[asyncio.Event] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -178,18 +459,20 @@ class AsyncSolverService:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Build the queue and dispatchers on the running loop."""
-        if self._queue is not None:
+        """Fork the workers from the running loop's thread.
+
+        Call it before any listening socket exists: workers forked
+        now inherit no connection to close.
+        """
+        if self._loop is not None:
             return
         self._loop = asyncio.get_running_loop()
-        self._queue = asyncio.PriorityQueue()
         self._stopped = asyncio.Event()
-        self._dispatchers = [
-            asyncio.ensure_future(self._dispatch())
-            for _ in range(self.workers)]
+        for slot in self._slots:
+            self._spawn(slot)
 
     def queue_depth(self) -> int:
-        return self._queue.qsize() if self._queue is not None else 0
+        return self._queued
 
     @property
     def draining(self) -> bool:
@@ -210,7 +493,7 @@ class AsyncSolverService:
                 pass
 
     def _check_quiesced(self) -> None:
-        if self._draining and self.queue_depth() == 0 \
+        if self._draining and self._queued == 0 \
                 and self.tenants.total_inflight() == 0 \
                 and self._stopped is not None:
             self._stopped.set()
@@ -220,21 +503,178 @@ class AsyncSolverService:
         await self._stopped.wait()
 
     async def aclose(self) -> None:
-        """Stop dispatchers and flush/close owned state."""
+        """Answer admitted work, then stop the workers.
+
+        Each worker closes its sessions and store (flushing write-behind
+        rows) and reports its final counters before it exits.
+        """
         if self._closed:
             return
         self._closed = True
         self._draining = True
-        if self._queue is not None:
-            for _ in self._dispatchers:
-                self._queue.put_nowait((1 << 30, next(self._seq),
-                                        _QUEUE_STOP))
-            await asyncio.gather(*self._dispatchers,
-                                 return_exceptions=True)
-        self._executor.shutdown(wait=True)
-        self.tenants.close()
-        if self._owns_store and self._store is not None:
-            self._store.close()
+        if self._loop is None:
+            return
+        self._check_quiesced()
+        await self._stopped.wait()
+        stops = [self._request(slot, ("stop",)) for slot in self._slots
+                 if slot.process is not None]
+        if stops:
+            await asyncio.wait(stops, timeout=30.0)
+        for slot in self._slots:
+            if slot.process is not None:
+                self._reap_later(self._detach(slot), timeout=30.0)
+        await asyncio.gather(*self._reapers)
+
+    # ------------------------------------------------------------------
+    # Worker processes
+    # ------------------------------------------------------------------
+    def _spawn(self, slot: _Slot) -> None:
+        parent_end, child_end = socket.socketpair()
+        process = multiprocessing.get_context("fork").Process(
+            target=_worker_main, args=(child_end, self._worker_config),
+            name=f"repro-serve-worker-{slot.index}", daemon=True)
+        try:
+            process.start()
+        finally:
+            child_end.close()
+        parent_end.setblocking(False)
+        slot.process = process
+        slot.channel = parent_end
+        self._loop.add_reader(parent_end.fileno(), self._on_readable, slot)
+
+    def _detach(self, slot: _Slot):
+        """Forget the slot's worker; returns its process to reap."""
+        process = slot.process
+        self._loop.remove_reader(slot.channel.fileno())
+        if slot.outbox:
+            self._loop.remove_writer(slot.channel.fileno())
+        slot.channel.close()
+        merge_counter_snapshots(self._retired, slot.counters)
+        slot.process = slot.channel = None
+        slot.inbox = bytearray()
+        slot.outbox = bytearray()
+        slot.sessions = set()
+        slot.counters = {}
+        slot.live = []
+        for waiter in slot.waiters:
+            if not waiter.done():
+                waiter.set_result(None)
+        slot.waiters.clear()
+        return process
+
+    def _reap_later(self, process, timeout: Optional[float] = None) -> None:
+        """Wait for ``process`` to exit without blocking the loop,
+        killing it after ``timeout`` seconds."""
+        async def reap() -> None:
+            deadline = None if timeout is None \
+                else self._loop.time() + timeout
+            while process.is_alive():
+                if deadline is not None and self._loop.time() >= deadline:
+                    process.kill()
+                    deadline = None
+                await asyncio.sleep(0.01)
+            process.close()
+
+        task = asyncio.ensure_future(reap())
+        self._reapers.add(task)
+        task.add_done_callback(self._reapers.discard)
+
+    def _lost(self, slot: _Slot) -> None:
+        """The slot's worker died: answer the request it was evaluating
+        with a worker-crash record, and give the requests behind it in
+        the pipe (which it never started) back to the slot's queue."""
+        held = list(slot.held)
+        slot.held.clear()
+        self._reap_later(self._detach(slot))
+        if held:
+            job = held[0][2]
+            task_id, kind = task_identity(job.line)
+            self._finish(job, _worker_crash_record(job.line, job.rid),
+                         kind, False, False, 0.0, task_id, None)
+            for entry in held[1:]:
+                heapq.heappush(slot.queue, entry)
+                self._queued += 1
+        self._pump(slot)
+
+    def _on_readable(self, slot: _Slot) -> None:
+        try:
+            data = slot.channel.recv(1 << 18)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            data = b""
+        if not data:
+            self._lost(slot)
+            return
+        inbox = slot.inbox
+        inbox += data
+        offset = 0
+        while len(inbox) - offset >= 4:
+            end = offset + 4 + int.from_bytes(inbox[offset:offset + 4], "big")
+            if end > len(inbox):
+                break
+            self._on_message(slot, pickle.loads(inbox[offset + 4:end]))
+            offset = end
+        del inbox[:offset]
+
+    def _on_message(self, slot: _Slot, message: tuple) -> None:
+        if message[0] == "job":
+            (_, response, kind, ok, budget_exceeded, elapsed, task_id,
+             phases, evaluated) = message
+            job = slot.held.popleft()[2]
+            job.tenant.tasks_evaluated = evaluated
+            self._finish(job, response, kind, ok, budget_exceeded, elapsed,
+                         task_id, phases)
+            self._pump(slot)
+            return
+        report = message[1]
+        slot.counters = report["counters"]
+        slot.live = report["sessions"]
+        waiter = slot.waiters.popleft()
+        if not waiter.done():
+            waiter.set_result(report)
+
+    def _write(self, slot: _Slot, data: bytes) -> None:
+        """Send without ever blocking the loop: what the pipe does not
+        take now waits in the slot's outbox for a writable callback."""
+        if slot.outbox:
+            slot.outbox += data
+            return
+        try:
+            sent = slot.channel.send(data)
+        except (BlockingIOError, InterruptedError):
+            sent = 0
+        except OSError:  # the worker is gone; its EOF cleans up
+            return
+        if sent < len(data):
+            slot.outbox += memoryview(data)[sent:]
+            self._loop.add_writer(slot.channel.fileno(), self._on_writable,
+                                  slot)
+
+    def _on_writable(self, slot: _Slot) -> None:
+        try:
+            sent = slot.channel.send(slot.outbox)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:  # the worker is gone; its EOF cleans up
+            sent = len(slot.outbox)
+        del slot.outbox[:sent]
+        if not slot.outbox:
+            self._loop.remove_writer(slot.channel.fileno())
+
+    def _request(self, slot: _Slot, message: tuple) -> "asyncio.Future":
+        """Send a stats/stop message; the future resolves to the
+        worker's report, or ``None`` if it dies first."""
+        future = self._loop.create_future()
+        slot.waiters.append(future)
+        self._write(slot, _frame(message))
+        return future
+
+    def _drop_session(self, tenant: Tenant) -> None:
+        slot = self._slots[tenant.worker]
+        if tenant.name in slot.sessions:
+            slot.sessions.discard(tenant.name)
+            self._write(slot, _frame(("drop", tenant.name)))
 
     # ------------------------------------------------------------------
     # Admission + dispatch
@@ -283,91 +723,104 @@ class AsyncSolverService:
             future.set_result(
                 self._overloaded("tenant-quota", tenant, task_id, rid))
             return future
-        if self.queue_depth() >= self.max_queue:
+        if self._queued >= self.max_queue:
             self.tenants.release(tenant, ok=False)
             future.set_result(
                 self._overloaded("queue-full", tenant, task_id, rid))
             return future
-        job = _Job(line, tenant, future, rid=rid)
-        self._queue.put_nowait((priority, next(self._seq), job))
+        heapq.heappush(self._slots[tenant.worker].queue,
+                       (priority, next(self._seq),
+                        _Job(line, tenant, future, rid=rid)))
+        self._queued += 1
+        # Dispatch after this loop tick, so everything admitted in the
+        # same tick is ordered by priority before any of it is sent.
+        if not self._pump_scheduled:
+            self._pump_scheduled = True
+            self._loop.call_soon(self._pump_all)
         return future
 
-    async def _dispatch(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            _priority, _seq, job = await self._queue.get()
-            if job is _QUEUE_STOP:
-                return
-            self._queued_us.observe(
-                (time.monotonic() - job.enqueued) * 1e6)
-            try:
-                response, ok, budget_exceeded = await loop.run_in_executor(
-                    self._executor, self._evaluate, job.tenant, job.line,
-                    job.rid)
-            except Exception as exc:  # noqa: BLE001 — keep dispatching
-                ok, budget_exceeded = False, False
-                response = canonical_json({
-                    "id": None, "kind": None, "ok": False,
-                    "error": f"InternalError: {type(exc).__name__}: {exc}",
-                })
-            self.tenants.release(job.tenant, ok=ok,
-                                 budget_exceeded=budget_exceeded)
-            if not job.future.cancelled():
-                job.future.set_result(response)
-            self._check_quiesced()
+    def _pump_all(self) -> None:
+        self._pump_scheduled = False
+        for slot in self._slots:
+            self._pump(slot)
 
-    def _evaluate(self, tenant: Tenant, line: str,
-                  rid=None) -> Tuple[str, bool, bool]:
-        """Executor-side evaluation under the tenant's engine lock.
+    def _pump(self, slot: _Slot) -> None:
+        """Send the slot's most urgent queued jobs into free pipe slots
+        (forking a fresh worker first if the last one died)."""
+        if not slot.queue or len(slot.held) >= PIPE_DEPTH:
+            return
+        if slot.process is None:
+            self._spawn(slot)
+            self._m_restarts.value += 1
+        frames = []
+        now = time.monotonic()
+        while slot.queue and len(slot.held) < PIPE_DEPTH:
+            entry = heapq.heappop(slot.queue)
+            self._queued -= 1
+            job = entry[2]
+            self._queued_us.observe((now - job.enqueued) * 1e6)
+            name = job.tenant.name
+            quota = None
+            if name not in slot.sessions:
+                slot.sessions.add(name)
+                quota = job.tenant.quota
+            slot.held.append(entry)
+            frames.append(_frame(("job", name, quota, job.line, job.rid)))
+        self._write(slot, b"".join(frames))
 
-        Same error-isolation contract as the threaded daemon: library
-        errors became records inside ``evaluate_envelope``; anything
-        else becomes an ``InternalError`` record in the dispatcher.
-        """
-        request_id = new_request_id()
-        start = time.perf_counter()
-        phases: Dict[str, float] = {}
-        with tenant.lock:
-            if self.logger is not None:
-                with collect_phases() as phases:
-                    envelope = evaluate_envelope(line, tenant.session)
-            else:
-                envelope = evaluate_envelope(line, tenant.session)
-        kind = envelope.get("kind")
-        ok = bool(envelope.get("ok"))
-        budget_exceeded = envelope.get("error_kind") == "budget-exceeded"
-        if rid is not None:
-            envelope = dict(envelope)
-            envelope["rid"] = rid
-        elapsed = time.perf_counter() - start
+    def _finish(self, job: _Job, response: str, kind: Optional[str],
+                ok: bool, budget_exceeded: bool, elapsed: float,
+                task_id, phases) -> None:
         self.stats_counters.record(kind, ok, elapsed,
                                    budget_exceeded=budget_exceeded)
         if self.logger is not None:
-            self.logger.request(request_id, kind=kind, ok=ok,
-                                elapsed_s=elapsed,
-                                task_id=envelope.get("id"), phases=phases)
-        return canonical_json(envelope), ok, budget_exceeded
+            self.logger.request(new_request_id(), kind=kind, ok=ok,
+                                elapsed_s=elapsed, task_id=task_id,
+                                phases=phases)
+        self.tenants.release(job.tenant, ok=ok,
+                             budget_exceeded=budget_exceeded)
+        if not job.future.cancelled():
+            job.future.set_result(response)
+        self._check_quiesced()
 
     # ------------------------------------------------------------------
-    # Control ops (answered inline on the event loop)
+    # Control ops (answered on the event loop)
     # ------------------------------------------------------------------
+    def worker_counters(self) -> Dict[str, Number]:
+        """Session, engine and store counters summed over the workers:
+        the last ones each live worker reported, plus the final ones of
+        workers that exited."""
+        merged = dict(self._retired)
+        for slot in self._slots:
+            merge_counter_snapshots(merged, slot.counters)
+        return merged
+
+    async def refresh(self) -> None:
+        """Fetch every live worker's counters and session list."""
+        await asyncio.gather(*[self._request(slot, ("stats",))
+                               for slot in self._slots
+                               if slot.process is not None])
+
     def stats(self) -> Dict[str, object]:
+        """Service figures, with worker counters as of the last
+        :meth:`refresh` (or of their exit)."""
         service = self.stats_counters.snapshot()
         service["uptime_s"] = round(time.monotonic() - self.started_at, 3)
         service["workers"] = self.workers
+        service["worker_restarts"] = self._m_restarts.value
         service["queue_depth"] = self.queue_depth()
         service["inflight"] = self.tenants.total_inflight()
         service["overloaded"] = self._m_overloaded.value
         service["draining"] = self._draining
-        with self.default_tenant.lock:
-            session = self.default_tenant.session.stats()
-        return {"service": service, "session": session,
-                "tenants": self.tenants.stats()}
+        return {"service": service, "session": self.worker_counters(),
+                "tenants": self.tenants.stats(),
+                "workers": [slot.report() for slot in self._slots]}
 
-    def control_record(self, record: dict, connection=None) -> Optional[str]:
-        """The single-line answer to one control record, or ``None``
-        when the op needs connection-level handling (hello/batch —
-        the front ends intercept those before calling here)."""
+    def control_record(self, record: dict
+                       ) -> Union[str, "asyncio.Future[str]"]:
+        """The answer to one control record: a line, or a future of one
+        for the ops that ask the workers (stats, metrics).  The front
+        ends intercept hello/batch before calling here."""
         op = record.get("op")
         self.stats_counters.record_control()
         rid = record.get("rid")
@@ -377,19 +830,24 @@ class AsyncSolverService:
                 payload["rid"] = rid
             return canonical_json(payload)
 
+        async def _after_refresh(render) -> str:
+            await self.refresh()
+            return _reply(render())
+
         if op == "ping":
             return _reply({"ok": True, "op": "ping"})
         if op == "stats":
-            return _reply({"ok": True, "op": "stats", "stats": self.stats()})
+            return asyncio.ensure_future(_after_refresh(
+                lambda: {"ok": True, "op": "stats", "stats": self.stats()}))
         if op == "metrics":
-            with self.default_tenant.lock:
-                if record.get("format") == "prometheus":
-                    return _reply({"ok": True, "op": "metrics",
-                                   "format": "prometheus",
-                                   "exposition": self.metrics.exposition()})
-                snapshot = self.metrics.snapshot()
-            return _reply({"ok": True, "op": "metrics",
-                           "metrics": snapshot})
+            if record.get("format") == "prometheus":
+                return asyncio.ensure_future(_after_refresh(
+                    lambda: {"ok": True, "op": "metrics",
+                             "format": "prometheus",
+                             "exposition": self.metrics.exposition()}))
+            return asyncio.ensure_future(_after_refresh(
+                lambda: {"ok": True, "op": "metrics",
+                         "metrics": self.metrics.snapshot()}))
         if op == "drain":
             self.request_drain()
             return _reply({"ok": True, "op": "drain", "draining": True})
@@ -529,7 +987,10 @@ class _Connection:
                 self._handle_batch(control)
                 return True
             response = service.control_record(control)
-            self.emit_line(response)
+            if isinstance(response, str):
+                self.emit_line(response)
+            else:
+                self._emit_future(response)
             return op not in ("drain", "shutdown")
         eval_line, rid = strip_rid(line)
         record = None
@@ -758,9 +1219,6 @@ async def serve_async_tcp(service: AsyncSolverService,
         if http_server is not None:
             http_server.close()
             await http_server.wait_closed()
-        if service.default_tenant is not None:
-            with service.default_tenant.lock:
-                service.default_tenant.session.flush()
 
 
 async def serve_async_stdio(service: AsyncSolverService,
@@ -770,20 +1228,26 @@ async def serve_async_stdio(service: AsyncSolverService,
     request order — byte-identical to the threaded stdio front end
     (and therefore to ``repro batch run --workers 1``).
 
-    Reading happens on the executor so the event loop keeps
-    dispatching while a slow producer trickles lines in; the bounded
+    Reading happens on the loop's default thread executor (blocking
+    file I/O, not evaluation) so the event loop keeps dispatching
+    while a slow producer trickles lines in; the bounded
     dispatch queue plus the default tenant's in-flight window is the
     backpressure (the reader stalls in :meth:`_reader_gate` rather
     than buffering without limit).  Returns response lines written.
     """
+    if source is None:
+        # Read fd 0 through a file object of its own.  The reader thread
+        # waits inside it holding its lock, and a worker forked then
+        # closes its copy of sys.stdin, which would wait on that lock
+        # forever.
+        with open(sys.stdin.fileno(), encoding="utf-8",
+                  closefd=False) as stdin:
+            return await serve_async_stdio(service, stdin, sink)
     await service.start()
     loop = asyncio.get_running_loop()
-    if source is None:
-        source = sys.stdin
     sink = sys.stdout if sink is None else sink
     iterator = iter(source)
     tenant = service.default_tenant
-    written = 0
     pending: "asyncio.Queue" = asyncio.Queue()
 
     def _next_line() -> Optional[str]:
@@ -826,10 +1290,7 @@ async def serve_async_stdio(service: AsyncSolverService,
         eval_line, rid = strip_rid(line)
         pending.put_nowait(service.submit(tenant, eval_line, rid=rid))
     pending.put_nowait(None)
-    written = await writer_task
-    with tenant.lock:
-        tenant.session.flush()
-    return written
+    return await writer_task
 
 
 def _blocking_write(sink: IO[str], line: str) -> None:

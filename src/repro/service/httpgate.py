@@ -203,12 +203,13 @@ async def handle_http(service: AsyncSolverService,
 async def _route(service: AsyncSolverService, method: str, path: str,
                  body: bytes) -> bytes:
     if path == "/healthz" and method == "GET":
-        payload = canonical_json({"ok": True,
-                                  "draining": service.draining})
+        # Spaced JSON, as README shows it: probes grep for '"ok": true'.
+        payload = json.dumps({"ok": True, "draining": service.draining},
+                             sort_keys=True)
         return _http_response(200, "OK", payload.encode("utf-8"))
     if path == "/metrics" and method == "GET":
-        with service.default_tenant.lock:
-            text = service.metrics.exposition()
+        await service.refresh()
+        text = service.metrics.exposition()
         return _http_response(200, "OK", text.encode("utf-8"),
                               content_type="text/plain; version=0.0.4")
     if path == "/task" and method == "POST":
@@ -224,6 +225,8 @@ async def _route(service: AsyncSolverService, method: str, path: str,
                 return _http_response(400, "Bad Request",
                                       payload.encode("utf-8"))
             response = service.control_record(control)
+            if not isinstance(response, str):
+                response = await response
         else:
             eval_line, rid = strip_rid(line)
             tenant = service.tenants.anonymous()

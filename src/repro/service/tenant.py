@@ -9,30 +9,31 @@ each named tenant across connections — its own :class:`Tenant`:
 
 * an isolated :class:`~repro.session.SolverSession` (own engine, own
   memo, own budget defaults), so one tenant's deadline trips, strategy
-  override or memo churn never leak into another's;
+  override or memo churn never leak into another's.  The session lives
+  in the worker process the tenant is pinned to; this module keeps
+  only the tenant's quota, pin and accounting, in the event-loop
+  process;
 * a **quota** (:class:`TenantQuota`): max in-flight requests admitted
   at once, per-request deadline default (PR 8 budgets), memo bounds,
   and a default priority for the dispatch queue;
 * registry-homed accounting (``service.tenant.<name>.*`` counters)
   surfaced live through ``{"op": "stats"}`` / ``{"op": "metrics"}``.
 
-Tenants may share one persistent store: :class:`LockedStore` wraps the
-service-owned store object with a lock so independent tenant engines
-can probe and record concurrently (the SQLite stores are only
-thread-compatible under external serialization — the threaded daemon's
-engine lock used to provide it; here the store wrapper does).
+The sessions a worker holds share its one persistent store through
+:class:`LockedStore`, which owns the store and serializes access to it
+(the SQLite stores are only thread-compatible under external
+serialization).
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.errors import ReproError
 from repro.hom.engine import STRATEGIES
 from repro.obs.metrics import MetricsRegistry
-from repro.session import SolverSession
 
 DEFAULT_MAX_INFLIGHT = 8
 
@@ -42,9 +43,9 @@ class LockedStore:
 
     Implements the engine's duck-typed store protocol (``lookup`` /
     ``record`` / ``lookup_exists`` / ``record_exists`` / ``flush`` /
-    ``stats``) by delegating under one lock.  Every tenant session
-    borrows this wrapper, so N tenant engines share one warm
-    persistent cache without sharing an engine lock.
+    ``stats``) by delegating under one lock.  Every tenant session in a
+    worker process borrows this wrapper, so the worker's tenant engines
+    share one warm persistent cache, which the wrapper closes once.
     """
 
     __slots__ = ("_store", "_lock")
@@ -123,40 +124,33 @@ class TenantQuota:
 
 
 class Tenant:
-    """One tenant: an isolated session plus quota/accounting state.
+    """One tenant: its quota, its worker pin and its accounting.
 
-    The session's engine is only thread-compatible — ``lock`` must be
-    held around every evaluation (the async dispatcher does this in
-    its executor threads).  Admission state (``inflight``) is guarded
-    by the registry's lock, not this one, so admission control never
-    waits behind a long count.
+    ``worker`` is the index of the worker process that owns the
+    tenant's session; the registry picks it when the tenant is created
+    and it never changes.  Admission state (``inflight``) is guarded
+    by the registry's lock.
     """
 
-    __slots__ = ("name", "quota", "session", "lock", "inflight",
-                 "requests", "errors", "rejected", "budget_exceeded",
-                 "connections", "ephemeral")
+    __slots__ = ("name", "quota", "worker", "inflight", "requests",
+                 "errors", "rejected", "budget_exceeded", "connections",
+                 "ephemeral", "tasks_evaluated")
 
-    def __init__(self, name: str, quota: TenantQuota,
-                 store: Optional[LockedStore] = None, preload: int = 0,
+    def __init__(self, name: str, quota: TenantQuota, worker: int = 0,
                  ephemeral: bool = False):
         quota.validate()
         self.name = name
         self.quota = quota
+        self.worker = worker
         self.ephemeral = ephemeral
-        self.session = SolverSession(
-            store=store,
-            strategy=quota.strategy,
-            max_counts=quota.max_counts,
-            max_targets=quota.max_targets,
-            preload=preload if store is not None else 0,
-            default_deadline_ms=quota.deadline_ms)
-        self.lock = threading.Lock()
         self.inflight = 0
         self.requests = 0
         self.errors = 0
         self.rejected = 0
         self.budget_exceeded = 0
         self.connections = 0
+        # The session's own count, as its worker last reported it.
+        self.tasks_evaluated = 0
 
     def stats(self) -> Dict[str, object]:
         return {
@@ -170,12 +164,13 @@ class Tenant:
             "priority": self.quota.priority,
             "strategy": self.quota.strategy,
             "deadline_ms": self.quota.deadline_ms,
-            "tasks_evaluated": self.session.tasks_evaluated,
+            "tasks_evaluated": self.tasks_evaluated,
+            "worker": self.worker,
         }
 
     def __repr__(self) -> str:
-        return (f"Tenant({self.name!r}, inflight={self.inflight}/"
-                f"{self.quota.max_inflight})")
+        return (f"Tenant({self.name!r}, worker={self.worker}, "
+                f"inflight={self.inflight}/{self.quota.max_inflight})")
 
 
 #: hello-op keys that configure a TenantQuota (everything else in the
@@ -194,18 +189,23 @@ class TenantRegistry:
     failure mode the session/service constructors already refuse).
     Anonymous connections get a fresh ``conn-<n>`` tenant with the
     service-default quota.
+
+    Each new tenant is pinned to the least-loaded of ``workers`` worker
+    processes (the one with the fewest tenants; ties go to the lowest
+    index).  ``on_discard(tenant)`` runs after an ephemeral tenant is
+    dropped, so its worker can drop the session.
     """
 
     def __init__(self, metrics: MetricsRegistry,
                  default_quota: Optional[TenantQuota] = None,
-                 store: Optional[LockedStore] = None,
-                 preload: int = 0):
+                 workers: int = 1,
+                 on_discard: Optional[Callable[[Tenant], None]] = None):
         self._tenants: Dict[str, Tenant] = {}
         self._lock = threading.Lock()
         self._anonymous = 0
+        self._load = [0] * max(1, workers)
+        self._on_discard = on_discard
         self.default_quota = default_quota or TenantQuota()
-        self.store = store
-        self.preload = preload
         self.metrics = metrics
         self._m_opened = metrics.counter("service.tenants.opened")
         metrics.gauge("service.tenants.active", lambda: len(self._tenants))
@@ -225,8 +225,9 @@ class TenantRegistry:
     # ------------------------------------------------------------------
     def _build(self, name: str, quota: TenantQuota,
                ephemeral: bool = False) -> Tenant:
-        tenant = Tenant(name, quota, store=self.store, preload=self.preload,
-                        ephemeral=ephemeral)
+        worker = min(range(len(self._load)), key=self._load.__getitem__)
+        tenant = Tenant(name, quota, worker=worker, ephemeral=ephemeral)
+        self._load[worker] += 1
         self._tenants[name] = tenant
         self._m_opened.value += 1
         return tenant
@@ -249,9 +250,12 @@ class TenantRegistry:
         if not tenant.ephemeral or tenant.connections > 0:
             return
         with self._lock:
-            if self._tenants.get(tenant.name) is tenant:
-                del self._tenants[tenant.name]
-        tenant.session.close()
+            if self._tenants.get(tenant.name) is not tenant:
+                return
+            del self._tenants[tenant.name]
+            self._load[tenant.worker] -= 1
+        if self._on_discard is not None:
+            self._on_discard(tenant)
 
     def get_or_create(self, name: str,
                       overrides: Optional[Dict[str, object]] = None
@@ -324,7 +328,3 @@ class TenantRegistry:
     def tenants(self):
         with self._lock:
             return list(self._tenants.values())
-
-    def close(self) -> None:
-        for tenant in self.tenants():
-            tenant.session.close()

@@ -5,7 +5,9 @@ end answers a mixed JSONL stream byte-identical to ``repro batch run
 --workers 1``; two tenants with different strategies/quotas get
 independent sessions, independent budget trips, and byte-identical
 results vs solo runs; overload is answered with structured records,
-not unbounded buffering; drain answers everything in flight.
+not unbounded buffering; drain answers everything in flight.  The
+worker-process backend keeps those bytes at every worker count, pins
+tenants to workers, and survives a worker crash.
 """
 
 from __future__ import annotations
@@ -13,18 +15,26 @@ from __future__ import annotations
 import asyncio
 import io
 import json
+import multiprocessing
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from collections import deque
 
 import pytest
 
+import repro
 from repro.batch.runner import iter_results
 from repro.batch.scenarios import generate_scenario
 from repro.batch.tasks import canonical_json, make_hom_count_task
 from repro.errors import ReproError
+from repro.faults import FaultPlan, install_fault_plan
 from repro.obs.metrics import MetricsRegistry
 from repro.service import (
     AsyncDaemonHandle,
@@ -35,9 +45,15 @@ from repro.service import (
     TenantRegistry,
     serve_async_stdio,
 )
-from repro.service.async_daemon import strip_rid
+from repro.service.async_daemon import PIPE_DEPTH, strip_rid, usable_cpus
 from repro.service.loadgen import default_task_lines, percentile, run_load
 from repro.structures.generators import clique_structure, cycle_structure
+
+
+@pytest.fixture(autouse=True)
+def _no_worker_outlives_its_daemon():
+    yield
+    assert multiprocessing.active_children() == []
 
 
 def _stream(kind: str, count: int, seed: int):
@@ -350,7 +366,6 @@ class TestTenancy:
         registry = TenantRegistry(MetricsRegistry())
         with pytest.raises(ReproError, match="turbo"):
             registry.get_or_create("t", {"turbo": 1})
-        registry.close()
 
 
 # ----------------------------------------------------------------------
@@ -381,18 +396,33 @@ class TestBackpressure:
             len(rejected)
 
     @staticmethod
-    def _stall_executor(service):
-        """Park every executor thread on a gate so admitted work
-        stays queued — a deterministic drain-with-in-flight window."""
-        gate = threading.Event()
-        for _ in range(service.workers):
-            service._executor.submit(gate.wait)
-        return gate
+    def _stall_workers(service):
+        """Hold every worker's pipe slots so admitted work stays queued
+        in the parent — a deterministic drain-with-in-flight window.
+        Returns the (idempotent) release."""
+        loop = service._loop
+        placeholder = (0, -1, None)
+        held = threading.Event()
+
+        def hold():
+            for slot in service._slots:
+                slot.held.extend([placeholder] * PIPE_DEPTH)
+            held.set()
+
+        def free():
+            for slot in service._slots:
+                slot.held = deque(entry for entry in slot.held
+                                  if entry is not placeholder)
+            service._pump_all()
+
+        loop.call_soon_threadsafe(hold)
+        assert held.wait(10)
+        return lambda: loop.call_soon_threadsafe(free)
 
     def test_drain_answers_inflight_and_rejects_new(self):
         lines = _stream("hom", 6, seed=61)
         with AsyncDaemonHandle(workers=2) as handle:
-            gate = self._stall_executor(handle.service)
+            release = self._stall_workers(handle.service)
             client = _LineClient(handle.address)
             control = DaemonClient(host=handle.address[0],
                                    port=handle.address[1])
@@ -405,10 +435,10 @@ class TestBackpressure:
                 assert answer["ok"] and answer["draining"]
                 late = control.control("ping")
                 assert late["ok"]  # control ops still answer
-                gate.set()
+                release()
                 served = [client.recv() for _ in lines]
             finally:
-                gate.set()
+                release()
                 control.close()
                 client.close()
         # Everything admitted before the drain was answered (order
@@ -420,18 +450,18 @@ class TestBackpressure:
     def test_draining_rejects_new_tasks_with_reason(self):
         lines = _stream("hom", 2, seed=3)
         with AsyncDaemonHandle(workers=1) as handle:
-            gate = self._stall_executor(handle.service)
+            release = self._stall_workers(handle.service)
             client = _LineClient(handle.address)
             try:
-                client.send(lines[0])       # admitted, held by the gate
+                client.send(lines[0])       # admitted, held in the parent
                 time.sleep(0.05)            # let admission happen
                 handle.service.request_drain()
                 client.send(lines[1])       # refused at admission
-                gate.set()
+                release()
                 held = client.recv()
                 refused = client.recv()
             finally:
-                gate.set()
+                release()
                 client.close()
         assert held["ok"] is True
         assert refused["error_kind"] == "overloaded"
@@ -456,6 +486,8 @@ class TestHttpGate:
                 base + "/metrics", timeout=10).read().decode()
             assert "service_workers" in text
             assert "# TYPE" in text
+            # Engine counters come from the workers.
+            assert "engine_memo_hits" in text
 
             request = urllib.request.Request(
                 base + "/task", data=line.encode("utf-8"), method="POST")
@@ -464,12 +496,13 @@ class TestHttpGate:
 
             with pytest.raises(urllib.error.HTTPError) as missing:
                 urllib.request.urlopen(base + "/nothing", timeout=10)
+            missing.value.close()
             assert missing.value.code == 404
 
     def test_http_draining_maps_to_503(self):
         lines = _stream("hom", 2, seed=3)
         with AsyncDaemonHandle(workers=1, http_port=0) as handle:
-            gate = TestBackpressure._stall_executor(handle.service)
+            release = TestBackpressure._stall_workers(handle.service)
             holder = _LineClient(handle.address)
             try:
                 holder.send(lines[0])   # keeps the service in flight
@@ -485,10 +518,10 @@ class TestHttpGate:
                 body = json.loads(refused.value.read())
                 refused.value.close()
                 assert body["reason"] == "draining"
-                gate.set()
+                release()
                 assert holder.recv()["ok"]
             finally:
-                gate.set()
+                release()
                 holder.close()
 
     def test_websocket_round_trip_matches_batch(self):
@@ -690,3 +723,288 @@ class TestSharedStore:
         assert store.stats() == {"entries": 1}
         store.close()
         assert ("close",) in probe.calls
+
+
+# ----------------------------------------------------------------------
+# Worker processes: parity at every count, pinning, supervision
+# ----------------------------------------------------------------------
+def _exchange_stats(address) -> dict:
+    client = _LineClient(address)
+    try:
+        return client.exchange('{"op": "stats"}')["stats"]
+    finally:
+        client.close()
+
+
+def _pipeline(address, lines, multiplex: bool, tenant=None) -> list:
+    """Send every line on one connection (bound to ``tenant`` when
+    named), then read every answer; in multiplex mode the answers are
+    put back in request order by rid."""
+    client = _LineClient(address)
+    try:
+        hello = {"op": "hello"}
+        if tenant is not None:
+            hello["tenant"] = tenant
+        if multiplex:
+            hello["mode"] = "multiplex"
+        if len(hello) > 1:
+            assert client.exchange(canonical_json(hello))["ok"]
+        if not multiplex:
+            for line in lines:
+                client.send(line)
+            return [canonical_json(client.recv()) for _ in lines]
+        for index, line in enumerate(lines):
+            record = json.loads(line)
+            record["rid"] = index
+            client.send(json.dumps(record))
+        by_rid = {}
+        for _ in lines:
+            answer = client.recv()
+            rid = answer.pop("rid")
+            by_rid[rid] = canonical_json(answer)
+        return [by_rid[index] for index in range(len(lines))]
+    finally:
+        client.close()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+class TestWorkerParity:
+    def test_stdio_matches_batch_run(self, workers):
+        lines = _stream("mixed", 40, seed=91)
+        served, _ = _serve_async_lines(lines, workers=workers)
+        assert served == list(iter_results(lines, workers=1))
+
+    @pytest.mark.parametrize("multiplex", [False, True])
+    def test_tcp_connections_match_batch_run(self, workers, multiplex):
+        # One tenant per worker: least-loaded pinning gives each its
+        # own worker, so every worker answers the whole stream.
+        lines = _stream("mixed", 30, seed=92)
+        batch = list(iter_results(lines, workers=1))
+        with AsyncDaemonHandle(workers=workers, max_inflight=64) as handle:
+            results = [None] * workers
+
+            def run(index):
+                results[index] = _pipeline(handle.address, lines, multiplex,
+                                           tenant=f"t{index}")
+
+            threads = [threading.Thread(target=run, args=(index,))
+                       for index in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            pinned = {stats["worker"] for name, stats in
+                      handle.service.tenants.stats().items()
+                      if name.startswith("t")}
+        assert results == [batch] * workers
+        assert pinned == set(range(workers))
+
+
+class TestWorkerPinning:
+    def test_anonymous_tenants_land_on_different_workers(self):
+        line = _stream("hom", 1, seed=3)[0]
+        with AsyncDaemonHandle(workers=2) as handle:
+            first = _LineClient(handle.address)
+            second = _LineClient(handle.address)
+            try:
+                assert first.exchange(line)["ok"]
+                assert second.exchange(line)["ok"]
+                tenants = handle.service.tenants.stats()
+                workers = _exchange_stats(handle.address)["workers"]
+            finally:
+                first.close()
+                second.close()
+        pins = {name: stats["worker"] for name, stats in tenants.items()
+                if name.startswith("conn-")}
+        assert len(pins) == 2 and len(set(pins.values())) == 2
+        for name, worker in pins.items():
+            assert workers[worker]["sessions"] == [name]
+
+    def test_named_tenant_reconnect_hits_its_warm_memo(self):
+        lines = _stream("hom", 6, seed=93)
+
+        def pass_as_alice(address) -> dict:
+            client = _LineClient(address)
+            try:
+                assert client.exchange(
+                    '{"op": "hello", "tenant": "alice"}')["ok"]
+                for line in lines:
+                    assert client.exchange(line)["ok"]
+                return client.exchange('{"op": "stats"}')["stats"]
+            finally:
+                client.close()
+
+        with AsyncDaemonHandle(workers=2) as handle:
+            cold = pass_as_alice(handle.address)["session"]
+            warm = pass_as_alice(handle.address)["session"]
+        assert cold["engine.memo.misses"] > 0
+        # The second connection found alice's session where the first
+        # left it: every count came from its memo.
+        assert warm["engine.memo.misses"] == cold["engine.memo.misses"]
+        assert warm["engine.memo.hits"] - cold["engine.memo.hits"] \
+            >= len(lines)
+
+    def test_discarded_tenant_session_is_freed_in_its_worker(self):
+        line = _stream("hom", 1, seed=3)[0]
+        with AsyncDaemonHandle(workers=1) as handle:
+            client = _LineClient(handle.address)
+            try:
+                assert client.exchange(line)["ok"]
+                during = client.exchange('{"op": "stats"}')["stats"]
+            finally:
+                client.close()
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline and \
+                    set(handle.service.tenants.stats()) != {"default"}:
+                time.sleep(0.01)
+            after = _exchange_stats(handle.address)
+        assert during["workers"][0]["sessions"] == ["conn-1"]
+        assert after["workers"][0]["sessions"] == []
+        # The dropped session's counts stay in the totals.
+        assert after["session"]["session.tasks.evaluated"] == 1
+
+
+class TestWorkerCrash:
+    def test_killed_worker_answers_one_crash_record_and_restarts(self):
+        lines = _stream("mixed", 10, seed=11)
+        poisoned = json.loads(lines[4])["id"]
+        batch = list(iter_results(lines, workers=1))
+        previous = install_fault_plan(FaultPlan(
+            {"serve.worker": {"task_ids": [poisoned]}}))
+        try:
+            with AsyncDaemonHandle(workers=2, max_inflight=64) as handle:
+                # Pipelined: the task behind the poisoned one is already
+                # in the dying worker's pipe, and must still be answered.
+                served = _pipeline(handle.address, lines, multiplex=False)
+                stats = _exchange_stats(handle.address)
+        finally:
+            install_fault_plan(previous)
+        crashed = json.loads(served[4])
+        assert crashed == {
+            "error": "WorkerCrash: the worker process evaluating this "
+                     "request exited",
+            "error_kind": "worker-crash", "id": poisoned,
+            "kind": json.loads(lines[4])["kind"], "ok": False}
+        assert served[:4] + served[5:] == batch[:4] + batch[5:]
+        assert stats["service"]["worker_restarts"] == 1
+        assert stats["service"]["inflight"] == 0
+
+
+    def test_stdio_daemon_replaces_a_worker_killed_while_stdin_waits(
+            self, tmp_path):
+        # One line at a time on a pipe that stays open: the stdin reader
+        # thread is waiting for the next line when the worker dies and
+        # its replacement is forked.
+        lines = _stream("mixed", 10, seed=11)
+        poisoned = json.loads(lines[4])["id"]
+        batch = list(iter_results(lines, workers=1))
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(
+            {"serve.worker": {"task_ids": [poisoned]}}))
+        env = dict(os.environ, REPRO_FAULT_PLAN=str(plan),
+                   PYTHONPATH=os.path.dirname(os.path.dirname(
+                       repro.__file__)))
+        daemon = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "start", "--async",
+             "--workers", "1", "--no-request-log"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL, text=True, env=env,
+            start_new_session=True)
+        # A stuck worker would hold stdout open past the daemon's death,
+        # so the watchdog kills the whole process group.
+        watchdog = threading.Timer(
+            60, os.killpg, (daemon.pid, signal.SIGKILL))
+        watchdog.start()
+        try:
+            served = []
+            for line in lines:
+                daemon.stdin.write(line + "\n")
+                daemon.stdin.flush()
+                served.append(daemon.stdout.readline().rstrip("\n"))
+            daemon.stdin.close()
+            code = daemon.wait(timeout=60)
+        finally:
+            watchdog.cancel()
+            if daemon.poll() is None:
+                os.killpg(daemon.pid, signal.SIGKILL)
+                daemon.wait()
+            daemon.stdout.close()
+        assert json.loads(served[4])["error_kind"] == "worker-crash"
+        assert served[:4] + served[5:] == batch[:4] + batch[5:]
+        assert code == 0
+
+
+class TestWorkerPipe:
+    def test_lines_larger_than_the_pipe_buffer_are_answered(self):
+        # Far more than a socket buffer takes at once: the rest waits in
+        # the slot's outbox while the loop keeps running.
+        big = canonical_json({"id": "big", "kind": "hom-count",
+                              "pad": "x" * (4 << 20)})
+        lines = [big] + _stream("hom", 3, seed=95)
+
+        async def main():
+            service = AsyncSolverService(workers=1)
+            await service.start()
+            try:
+                tenant = service.tenants.anonymous()
+                futures = [service.submit(tenant, line) for line in lines]
+                return await asyncio.wait_for(asyncio.gather(*futures), 60)
+            finally:
+                await service.aclose()
+
+        assert asyncio.run(main()) == list(iter_results(lines, workers=1))
+
+
+class TestWorkerStress:
+    def test_every_request_answered_once_with_more_workers_than_cores(self):
+        # More workers and connections than this machine has cores,
+        # every connection multiplexed and pipelined at once.
+        lines = _stream("hom", 12, seed=94)
+        batch = dict(zip(range(len(lines)), iter_results(lines, workers=1)))
+        workers = usable_cpus() + 1
+        connections, rounds = max(8, workers + 1), 5
+        answers = {}
+
+        with AsyncDaemonHandle(workers=workers, max_inflight=256,
+                               max_queue=4096) as handle:
+            def run(index):
+                client = _LineClient(handle.address)
+                try:
+                    assert client.exchange(
+                        '{"op": "hello", "mode": "multiplex"}')["ok"]
+                    sent = []
+                    for repeat in range(rounds):
+                        for position, line in enumerate(lines):
+                            record = json.loads(line)
+                            record["rid"] = [index, repeat, position]
+                            client.send(json.dumps(record))
+                            sent.append((index, repeat, position))
+                    got = [client.recv() for _ in sent]
+                    answers[index] = got
+                finally:
+                    client.close()
+
+            threads = [threading.Thread(target=run, args=(index,))
+                       for index in range(connections)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            client = _LineClient(handle.address)
+            try:
+                metrics = client.exchange('{"op": "metrics"}')["metrics"]
+            finally:
+                client.close()
+        seen = {}
+        for got in answers.values():
+            for answer in got:
+                rid = tuple(answer.pop("rid"))
+                seen[rid] = seen.get(rid, 0) + 1
+                assert canonical_json(answer) == batch[rid[2]]
+        assert len(answers) == connections
+        assert set(seen.values()) == {1}
+        assert len(seen) == connections * rounds * len(lines)
+        assert metrics["service.inflight"] == 0
+        assert metrics["service.requests"] == len(seen)
