@@ -5,9 +5,9 @@ CI entry point for the fault-tolerance contract (DESIGN.md §14).  One
 run asserts, against a single seeded :class:`repro.faults.FaultPlan`:
 
 * **worker kills** — a poisoned task repeatedly kills its batch worker
-  (``os._exit`` mid-chunk); the supervisor restarts the pool, bisects
-  the chunk and quarantines exactly that task, and every surviving
-  result is byte-identical to a fault-free run;
+  (``os._exit`` mid-chunk); the runner replaces that worker, retries
+  and bisects the chunk and quarantines exactly that task, and every
+  surviving result is byte-identical to a fault-free run;
 * **store corruption** — an injected ``sqlite3.DatabaseError`` on the
   first store lookup quarantines the damaged file to
   ``<path>.corrupt-<ts>`` and recreates the schema, without failing a

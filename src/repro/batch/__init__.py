@@ -9,8 +9,10 @@ reproducible byte-for-byte regardless of worker count.
 * :mod:`repro.batch.scenarios` — seeded random instance families.
 * :mod:`repro.batch.cache` — the SQLite hom-count store the engine
   consults across processes.
-* :mod:`repro.batch.runner` — chunked multiprocessing evaluation with
-  deterministic result ordering and resume support.
+* :mod:`repro.batch.runner` — chunked evaluation in forked worker
+  processes with deterministic result ordering and resume support.
+* :mod:`repro.batch.pipe` — the worker pipe the runner shares with the
+  async daemon.
 
 CLI: ``repro batch gen`` / ``repro batch run`` / ``repro batch cache``.
 """

@@ -547,16 +547,21 @@ class SQLiteHomStore:
     def __len__(self) -> int:
         return self.counts_len() + self.exists_len()
 
-    def stats(self) -> Dict[str, int]:
+    def counters(self) -> Dict[str, int]:
+        """The monotonic counters of :meth:`stats`, without its row
+        counts: reads no SQL."""
         return {
-            "counts": self.counts_len(),
-            "exists": self.exists_len(),
             "lookups": self.lookups,
             "lookup_hits": self.lookup_hits,
             "inserts": self.inserts,
             "corruptions": self.corruptions,
             "retries": self.retries,
         }
+
+    def stats(self) -> Dict[str, int]:
+        stats = {"counts": self.counts_len(), "exists": self.exists_len()}
+        stats.update(self.counters())
+        return stats
 
     def __repr__(self) -> str:
         return (f"SQLiteHomStore(path={self.path!r}, entries={len(self)}, "

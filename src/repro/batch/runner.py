@@ -11,7 +11,8 @@ of result lines, optionally sharded across worker processes::
 Guarantees
 ----------
 * **Deterministic ordering** — results come out in task order no matter
-  how many workers ran them (chunked ``Pool.imap`` preserves order).
+  how many workers ran them (the parent puts answers back in order by
+  sequence number).
 * **Deterministic content** — randomized steps (witness construction)
   are seeded from a content hash of the task, and every record is
   serialized canonically, so ``--workers 4`` output is byte-identical
@@ -19,31 +20,40 @@ Guarantees
 * **Fault isolation** — a task that raises a library error produces an
   ``{"ok": false, "error": ...}`` record; the batch keeps going.
 
-Workers are plain ``multiprocessing`` processes (``fork`` start method
-when the platform has it, so they inherit the loaded library for free).
-Each worker owns a private :class:`~repro.session.SolverSession`
-whose engine is attached to the shared on-disk store
-(:mod:`repro.batch.cache`), and warm-starts its in-memory memo from
-that store, so hom counts are computed once per machine rather than
-once per process.  The long-running request service
-(:mod:`repro.service`) reuses :func:`evaluate_line` with *its* session,
-so batch mode and serving mode produce byte-identical records.
+Workers are ``multiprocessing`` processes forked with one socketpair
+each (:mod:`repro.batch.pipe`), so they inherit the loaded library for
+free; the parent sends each a few chunks at a time and reads the
+answers with :mod:`selectors`.  Each worker owns a private
+:class:`~repro.session.SolverSession` whose engine is attached to the
+shared on-disk store (:mod:`repro.batch.store`), warm-starts its
+in-memory memo from that store, and publishes its answers through the
+store's write-behind, so a later run finds them.  The long-running
+request service (:mod:`repro.service`) reuses :func:`evaluate_line`
+with *its* session, so batch mode and serving mode produce
+byte-identical records.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import random
+import selectors
+import socket
 import sys
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
-from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
+from repro.batch.pipe import (
+    PIPE_DEPTH,
+    detach_from_parent,
+    frame,
+    read_message,
+    receive,
+    send_available,
+    spawn_worker,
+)
 from repro.errors import ReproError
 from repro.faults.budget import BudgetExceeded, use_budget
 from repro.faults.inject import (
@@ -61,17 +71,18 @@ from repro.hom.engine import HomEngine
 from repro.session import SolverSession
 from repro.ucq.analysis import linear_certificate
 
-DEFAULT_CHUNK_SIZE = 8
+DEFAULT_CHUNK_SIZE = 2
 DEFAULT_PRELOAD = 2048
 DEFAULT_MAX_RETRIES = 2
 # Base of the jittered exponential backoff between chunk retries.
 # Timing only — results are pure, so the jitter never touches bytes.
 _RETRY_BASE_DELAY = 0.05
-
-# What a dying (or hung) worker pool surfaces as: a worker killed
-# mid-task breaks the whole pool; a result() timeout is treated the
-# same way because a hung worker holds its pool slot forever.
-_WORKER_DEATH = (BrokenProcessPool, FuturesTimeout)
+# Seconds a worker gets to flush and exit after the stop message.
+_STOP_TIMEOUT = 30.0
+# Chunks per worker whose answers may arrive ahead of the oldest
+# unanswered one.  Past that the pool takes no more lines, so a chunk
+# that runs long stalls the stream instead of buffering all of it.
+_RUN_AHEAD_CHUNKS = 64
 
 Context = Union[SolverSession, HomEngine]
 
@@ -180,7 +191,7 @@ def evaluate_line(line: str, context: Context) -> str:
 
 
 # ----------------------------------------------------------------------
-# Worker pool plumbing
+# Worker processes
 # ----------------------------------------------------------------------
 _WORKER_SESSION: Optional[SolverSession] = None
 _WORKER_LAST_METRICS: Dict[str, float] = {}
@@ -197,28 +208,30 @@ def _init_worker(cache_path: Optional[str], preload: int,
         # deterministic across worker layouts — the chaos lane keys
         # worker kills by task id for exactly that reason).
         install_fault_plan(FaultPlan(fault_spec))
-    # With a sharded store, each worker's shard connections open
-    # lazily on first touch — a worker only ever opens the shard
-    # files its keys hash into.
-    if cache_path is None:
-        shards = memory_tier = None
     _WORKER_SESSION = SolverSession(store_path=cache_path, preload=preload,
                                     shards=shards, memory_tier=memory_tier)
     _WORKER_LAST_METRICS = {}
 
 
-def _evaluate_chunk(lines: List[str]) -> tuple:
-    """``(result lines, metrics delta)`` for one chunk.
+def _metrics_delta() -> Dict[str, float]:
+    """This worker's monotonic counter movement since the last call.
 
-    The delta is this worker's monotonic counter movement since its
-    previous chunk (cumulative snapshots would double-count when the
-    parent sums them), so the parent can merge per-worker registries
-    into one run summary without any worker-lifetime rendezvous.
+    Deltas, not cumulative snapshots (the parent sums them, so those
+    would double-count), so the parent merges per-worker registries
+    into one run summary without any worker-lifetime rendezvous, and a
+    worker that dies later has already reported what it counted.
     """
     global _WORKER_LAST_METRICS
-    session = _WORKER_SESSION
-    if session is None:  # pragma: no cover - initializer always ran
-        raise RuntimeError("batch worker used before initialization")
+    current = _WORKER_SESSION.metrics.counters_snapshot()
+    delta = {name: value - _WORKER_LAST_METRICS.get(name, 0)
+             for name, value in current.items()
+             if value != _WORKER_LAST_METRICS.get(name, 0)}
+    _WORKER_LAST_METRICS = current
+    return delta
+
+
+def _evaluate_chunk(lines: List[str]) -> tuple:
+    """``(result lines, metrics delta)`` for one chunk."""
     for line in lines:
         # The ``worker.chunk`` fault point: a poison task kills its
         # worker outright — no exception, no cleanup — exactly like a
@@ -226,14 +239,42 @@ def _evaluate_chunk(lines: List[str]) -> tuple:
         # so no handler downstream can soften the crash.
         if should_inject("worker.chunk", key=_line_id(line)):
             os._exit(86)
-    results = [evaluate_line(line, session) for line in lines]
-    session.flush()
-    current = session.metrics.counters_snapshot()
-    delta = {name: value - _WORKER_LAST_METRICS.get(name, 0)
-             for name, value in current.items()
-             if value != _WORKER_LAST_METRICS.get(name, 0)}
-    _WORKER_LAST_METRICS = current
-    return results, delta
+    results = [evaluate_line(line, _WORKER_SESSION) for line in lines]
+    return results, _metrics_delta()
+
+
+def _worker_main(channel: socket.socket, config: tuple) -> None:
+    """A batch worker's life: answer each chunk the parent sends, in
+    order, with its result lines and counter delta.
+
+    The store's write-behind publishes rows as its queues fill; on the
+    parent's stop message the worker flushes the rest, reports that
+    flush's counter delta and returns, so the process exits through
+    multiprocessing's finalizers.  At EOF (the parent is gone) closing
+    the session flushes too.
+    """
+    detach_from_parent(channel)
+    _init_worker(*config)
+    session = _WORKER_SESSION
+    reader = channel.makefile("rb")
+    try:
+        while True:
+            message = read_message(reader)
+            if message is None:  # the parent is gone
+                return
+            if message[0] == "stop":
+                session.flush()
+                channel.sendall(frame(("stop", _metrics_delta())))
+                return
+            _, start, lines = message
+            results, delta = _evaluate_chunk(lines)
+            channel.sendall(frame(("chunk", start, results, delta)))
+    except (BrokenPipeError, ConnectionResetError):  # the parent died
+        return
+    finally:
+        session.close()
+        reader.close()
+        channel.close()
 
 
 def _chunks(lines: Iterable[str], size: int) -> Iterator[List[str]]:
@@ -247,12 +288,6 @@ def _chunks(lines: Iterable[str], size: int) -> Iterator[List[str]]:
             chunk = []
     if chunk:
         yield chunk
-
-
-def _pool_context():
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else methods[0])
 
 
 def task_identity(line: str) -> Tuple[Optional[str], Optional[str]]:
@@ -289,141 +324,7 @@ def _quarantine_record(line: str) -> str:
     })
 
 
-class _PoolSupervisor:
-    """Owns the worker pool and every recovery path around it.
-
-    A worker killed mid-task (OOM killer, segfault, injected
-    ``worker.chunk`` fault) breaks the *whole*
-    :class:`~concurrent.futures.ProcessPoolExecutor` — every in-flight
-    future fails, and which chunk did the killing is unknowable from
-    the parent.  The supervisor's contract on top of that blunt
-    failure mode:
-
-    * the pool is torn down and rebuilt (``batch.worker.restarts``);
-    * the chunk whose result was being awaited is re-run in isolation,
-      up to ``max_retries`` times with jittered exponential backoff
-      (transient deaths — a worker OOM-killed under memory pressure —
-      succeed on retry and count ``batch.chunk.retries``);
-    * a chunk that *keeps* dying is bisected until the poison task is
-      a chunk of one, which is quarantined as a deterministic error
-      record (``batch.tasks.quarantined``) — the batch completes;
-    * every other chunk is resubmitted unchanged, so non-quarantined
-      results stay byte-identical to a fault-free run;
-    * with ``chunk_timeout`` set, a *hung* worker is treated exactly
-      like a dead one (the pool is killed; a task that keeps hanging
-      is quarantined) — without it a hang waits forever, matching the
-      pre-supervision contract.
-    """
-
-    def __init__(self, workers: int, cache_path: Optional[str],
-                 preload: int, fault_spec: Optional[Dict],
-                 max_retries: int, chunk_timeout: Optional[float],
-                 metrics_sink: Optional[Dict[str, float]],
-                 shards: Optional[int] = None,
-                 memory_tier: Optional[int] = None):
-        self.workers = workers
-        self.cache_path = cache_path
-        self.preload = preload
-        self.fault_spec = fault_spec
-        self.shards = shards
-        self.memory_tier = memory_tier
-        self.max_retries = max(0, max_retries)
-        self.chunk_timeout = chunk_timeout
-        self.metrics_sink = metrics_sink
-        self.executor: Optional[ProcessPoolExecutor] = None
-        self._spawn()
-
-    def _spawn(self) -> None:
-        self.executor = ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=_pool_context(),
-            initializer=_init_worker,
-            initargs=(self.cache_path, self.preload, self.fault_spec,
-                      self.shards, self.memory_tier),
-        )
-
-    def _note(self, name: str, value: int = 1) -> None:
-        if self.metrics_sink is not None:
-            merge_counter_snapshots(self.metrics_sink, {name: value})
-
-    def _restart(self) -> None:
-        """Kill the (broken or hung) pool and build a fresh one."""
-        executor = self.executor
-        self.executor = None
-        if executor is not None:
-            # A hung worker never drains its call queue: terminate the
-            # processes outright, then reap without waiting on them.
-            processes = getattr(executor, "_processes", None) or {}
-            for process in list(processes.values()):
-                if process.is_alive():
-                    process.terminate()
-            executor.shutdown(wait=False, cancel_futures=True)
-        self._note("batch.worker.restarts")
-        self._spawn()
-
-    def submit(self, chunk: List[str]):
-        try:
-            return self.executor.submit(_evaluate_chunk, chunk)
-        except BrokenProcessPool:
-            # The pool died between drains; doomed in-flight futures
-            # surface at their own drain and are salvaged there.
-            self._restart()
-            return self.executor.submit(_evaluate_chunk, chunk)
-
-    def drain(self, inflight: "deque") -> List[str]:
-        """Resolve the oldest in-flight chunk into its result lines."""
-        future, chunk = inflight.popleft()
-        try:
-            results, delta = future.result(timeout=self.chunk_timeout)
-        except _WORKER_DEATH:
-            self._restart()
-            # Every sibling future died with the pool: remember their
-            # chunks, resolve the head chunk in isolation, then refill
-            # the window in order — ordering (and therefore bytes)
-            # survives the crash.
-            salvaged = [entry[1] for entry in inflight]
-            inflight.clear()
-            results = self._run_isolated(chunk, attempts_spent=1)
-            for sibling in salvaged:
-                inflight.append((self.submit(sibling), sibling))
-            return results
-        if self.metrics_sink is not None:
-            merge_counter_snapshots(self.metrics_sink, delta)
-        return results
-
-    def _run_isolated(self, chunk: List[str],
-                      attempts_spent: int = 0) -> List[str]:
-        """Run one suspect chunk alone: retry, then bisect, then
-        quarantine.  ``attempts_spent`` credits a failure the chunk
-        already suffered in the shared pool."""
-        for attempt in range(attempts_spent, self.max_retries + 1):
-            if attempt:
-                _backoff(attempt)
-            try:
-                results, delta = self.executor.submit(
-                    _evaluate_chunk, chunk).result(timeout=self.chunk_timeout)
-            except _WORKER_DEATH:
-                self._restart()
-                continue
-            if attempt:
-                self._note("batch.chunk.retries")
-            if self.metrics_sink is not None:
-                merge_counter_snapshots(self.metrics_sink, delta)
-            return results
-        if len(chunk) == 1:
-            self._note("batch.tasks.quarantined")
-            return [_quarantine_record(chunk[0])]
-        middle = len(chunk) // 2
-        return (self._run_isolated(chunk[:middle])
-                + self._run_isolated(chunk[middle:]))
-
-    def shutdown(self) -> None:
-        if self.executor is not None:
-            self.executor.shutdown(wait=True, cancel_futures=True)
-            self.executor = None
-
-
-def _backoff(attempt: int) -> None:
+def _backoff_delay(attempt: int) -> float:
     """Jittered exponential backoff before retry ``attempt`` (1-based).
 
     Full jitter on a doubling base: transient resource pressure (the
@@ -432,7 +333,306 @@ def _backoff(attempt: int) -> None:
     never part of the bytes.
     """
     delay = _RETRY_BASE_DELAY * (1 << min(attempt - 1, 6))
-    time.sleep(delay * (0.5 + random.random() / 2))
+    return delay * (0.5 + random.random() / 2)
+
+
+def _create_store(cache_path: str, shards: Optional[int],
+                  memory_tier: Optional[int]) -> None:
+    """Create (or migrate) the store and every shard file before any
+    worker forks.  Two workers creating one shard file at the same
+    moment can fail with ``database is locked``, and the store drops
+    the rows of a write that fails."""
+    from repro.batch.store import open_store
+
+    store = open_store(cache_path, shards=shards, memory_tier=memory_tier)
+    try:
+        ensure_shards = getattr(store, "ensure_shards", None)
+        if ensure_shards is not None:
+            ensure_shards()
+    finally:
+        store.close()
+
+
+class _Chunk:
+    """Consecutive task lines; ``start`` is the stream index of the
+    first, so it is also the chunk's sequence number."""
+
+    __slots__ = ("start", "lines", "attempts")
+
+    def __init__(self, start: int, lines: List[str]):
+        self.start = start
+        self.lines = lines
+        # Workers that died (or hung) evaluating this chunk.
+        self.attempts = 0
+
+
+class _Slot:
+    """One worker slot in the parent: the worker process and its pipe,
+    the chunks sent down it (the worker evaluates the head), and the
+    suspects — chunks whose worker died — it runs one at a time.
+
+    The suspects outlive the worker; a fresh one takes over the slot.
+    """
+
+    __slots__ = ("index", "process", "channel", "inbox", "outbox", "held",
+                 "head_since", "suspects", "resume_at", "spawned")
+
+    def __init__(self, index: int):
+        self.index = index
+        self.process = None
+        self.channel: Optional[socket.socket] = None
+        self.inbox = bytearray()
+        self.outbox = bytearray()
+        self.held: deque = deque()
+        # When the head chunk became the head (chunk_timeout's clock).
+        self.head_since = 0.0
+        self.suspects: deque = deque()
+        # The next suspect waits for its backoff until this time.
+        self.resume_at = 0.0
+        self.spawned = False
+
+
+class _WorkerPool:
+    """Forked workers on socketpair pipes, and every recovery path
+    around them (DESIGN.md §14).
+
+    The parent keeps at most :data:`~repro.batch.pipe.PIPE_DEPTH`
+    chunks in each worker's pipe, reads the answers with
+    :mod:`selectors` and puts their lines back in task order by
+    sequence number.  It never blocks on a full pipe: what a pipe does
+    not take waits in that slot's outbox.  It takes lines from the
+    stream only while a pipe has room and the answers waiting for an
+    earlier one stay under ``_RUN_AHEAD_CHUNKS`` chunks per worker.
+
+    A worker killed mid-chunk (OOM killer, segfault, injected
+    ``worker.chunk`` fault) shows as EOF on its pipe; with
+    ``chunk_timeout`` set, a worker whose head chunk has run longer is
+    killed and handled the same way.  The contract:
+
+    * the chunk the worker was evaluating — the head of its pipe — is
+      retried alone on a fresh worker (``batch.worker.restarts``), up
+      to ``max_retries`` times with jittered exponential backoff
+      (transient deaths succeed on retry and count
+      ``batch.chunk.retries``);
+    * a chunk that *keeps* dying is bisected until the poison task is a
+      chunk of one, which is quarantined as a deterministic error
+      record (``batch.tasks.quarantined``) — the batch completes;
+    * the chunks queued behind it in that pipe, which the worker never
+      started, go back to the queue unchanged, and the other workers
+      keep running, so non-quarantined results stay byte-identical to
+      a fault-free run;
+    * without ``chunk_timeout`` a hang waits forever.
+    """
+
+    def __init__(self, workers: int, chunk_size: int, config: tuple,
+                 max_retries: int, chunk_timeout: Optional[float],
+                 metrics_sink: Optional[Dict[str, float]]):
+        self.config = config
+        self.max_retries = max(0, max_retries)
+        self.chunk_timeout = chunk_timeout
+        self.metrics_sink = metrics_sink
+        self.slots = [_Slot(index) for index in range(workers)]
+        self.selector = selectors.DefaultSelector()
+        # Chunks given back by a dead worker, sent before fresh ones.
+        self.queue: deque = deque()
+        # Result lines not yet yielded, by stream index.
+        self.done: Dict[int, str] = {}
+        self.source: Optional[Iterator[List[str]]] = None
+        # Tasks taken from the stream; result lines yielded.
+        self.pulled = 0
+        self.emitted = 0
+        self.window = _RUN_AHEAD_CHUNKS * workers * chunk_size
+
+    def results(self, chunks: Iterator[List[str]]) -> Iterator[str]:
+        """Evaluate ``chunks``; yields their result lines in order."""
+        self.source = chunks
+        while True:
+            self._pump()
+            if self.emitted in self.done:
+                while self.emitted in self.done:
+                    yield self.done.pop(self.emitted)
+                    self.emitted += 1
+                continue  # the window moved: fill the pipes again
+            if self.source is None and self.emitted == self.pulled:
+                return
+            self._wait()
+
+    def stop(self) -> None:
+        """Ask every worker to flush its store and exit; merge the
+        flushes' counter deltas and reap the workers."""
+        for slot in self.slots:
+            if slot.process is not None:
+                self._write(slot, frame(("stop",)))
+        deadline = time.monotonic() + _STOP_TIMEOUT
+        while any(slot.process is not None for slot in self.slots):
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return  # close() kills the stragglers
+            self._handle(self.selector.select(remaining))
+
+    def close(self) -> None:
+        """Kill and reap every worker still running (the caller closed
+        the stream early, or it failed), then release the selector."""
+        for slot in self.slots:
+            if slot.process is not None:
+                self._retire(slot, kill=True)
+        self.selector.close()
+
+    # ------------------------------------------------------------------
+    def _note(self, delta: Dict[str, float]) -> None:
+        if self.metrics_sink is not None:
+            merge_counter_snapshots(self.metrics_sink, delta)
+
+    def _next_chunk(self) -> Optional[_Chunk]:
+        if self.queue:
+            return self.queue.popleft()
+        if self.source is None or self.pulled - self.emitted >= self.window:
+            return None
+        lines = next(self.source, None)
+        if lines is None:
+            self.source = None
+            return None
+        chunk = _Chunk(self.pulled, lines)
+        self.pulled += len(lines)
+        return chunk
+
+    def _pump(self) -> None:
+        """Fill the pipes: a slot with suspects gets the next one alone,
+        once its backoff is over; the others get chunks one per slot in
+        turn, until each pipe holds PIPE_DEPTH."""
+        now = time.monotonic()
+        for slot in self.slots:
+            if slot.suspects and not slot.held and now >= slot.resume_at:
+                self._send(slot, slot.suspects[0])
+        for depth in range(1, PIPE_DEPTH + 1):
+            for slot in self.slots:
+                if slot.suspects or len(slot.held) >= depth:
+                    continue
+                chunk = self._next_chunk()
+                if chunk is None:
+                    return
+                self._send(slot, chunk)
+
+    def _send(self, slot: _Slot, chunk: _Chunk) -> None:
+        if slot.process is None:
+            if slot.spawned:
+                self._note({"batch.worker.restarts": 1})
+            slot.process, slot.channel = spawn_worker(
+                _worker_main, self.config, f"repro-batch-worker-{slot.index}")
+            slot.spawned = True
+            self.selector.register(slot.channel, selectors.EVENT_READ, slot)
+        if not slot.held:
+            slot.head_since = time.monotonic()
+        slot.held.append(chunk)
+        self._write(slot, frame(("chunk", chunk.start, chunk.lines)))
+
+    def _write(self, slot: _Slot, data: bytes) -> None:
+        if slot.outbox:
+            slot.outbox += data
+            return
+        sent = send_available(slot.channel, data)
+        if sent < len(data):
+            slot.outbox += memoryview(data)[sent:]
+            self.selector.modify(
+                slot.channel, selectors.EVENT_READ | selectors.EVENT_WRITE,
+                slot)
+
+    def _wait(self) -> None:
+        """Block until a pipe is ready, a head chunk times out or a
+        backoff ends, and handle what happened."""
+        deadlines = [slot.resume_at for slot in self.slots
+                     if slot.suspects and not slot.held]
+        if self.chunk_timeout is not None:
+            deadlines += [slot.head_since + self.chunk_timeout
+                          for slot in self.slots if slot.held]
+        timeout = None
+        if deadlines:
+            timeout = max(0.0, min(deadlines) - time.monotonic())
+        self._handle(self.selector.select(timeout))
+        if self.chunk_timeout is not None:
+            now = time.monotonic()
+            for slot in self.slots:
+                if slot.held and now - slot.head_since >= self.chunk_timeout:
+                    self._lost(slot, kill=True)
+
+    def _handle(self, events) -> None:
+        for key, mask in events:
+            slot = key.data
+            if slot.channel is not key.fileobj:
+                continue  # the worker was lost earlier in this round
+            if mask & selectors.EVENT_WRITE:
+                del slot.outbox[:send_available(slot.channel, slot.outbox)]
+                if not slot.outbox:
+                    self.selector.modify(slot.channel, selectors.EVENT_READ,
+                                         slot)
+            if mask & selectors.EVENT_READ:
+                self._on_readable(slot)
+
+    def _on_readable(self, slot: _Slot) -> None:
+        messages = receive(slot.channel, slot.inbox)
+        if messages is None:
+            self._lost(slot)
+            return
+        for message in messages:
+            if message[0] == "stop":
+                self._note(message[1])
+                self._retire(slot)
+                return
+            _, start, results, delta = message
+            chunk = slot.held.popleft()
+            self._note(delta)
+            for offset, line in enumerate(results):
+                self.done[start + offset] = line
+            if slot.suspects and slot.suspects[0] is chunk:
+                slot.suspects.popleft()
+                if chunk.attempts:
+                    self._note({"batch.chunk.retries": 1})
+            slot.head_since = time.monotonic()
+
+    def _lost(self, slot: _Slot, kill: bool = False) -> None:
+        """The slot's worker died (or hung and is killed): retry the
+        chunk it was evaluating alone, then bisect, then quarantine;
+        give the chunks behind it back to the queue."""
+        held = list(slot.held)
+        self._retire(slot, kill=kill)
+        if not held:
+            return
+        culprit = held[0]
+        self.queue.extendleft(reversed(held[1:]))
+        if not (slot.suspects and slot.suspects[0] is culprit):
+            slot.suspects.appendleft(culprit)
+        culprit.attempts += 1
+        if culprit.attempts <= self.max_retries:
+            slot.resume_at = time.monotonic() + _backoff_delay(
+                culprit.attempts)
+            return
+        slot.suspects.popleft()
+        slot.resume_at = 0.0
+        if len(culprit.lines) == 1:
+            self._note({"batch.tasks.quarantined": 1})
+            self.done[culprit.start] = _quarantine_record(culprit.lines[0])
+            return
+        middle = len(culprit.lines) // 2
+        slot.suspects.extendleft([
+            _Chunk(culprit.start + middle, culprit.lines[middle:]),
+            _Chunk(culprit.start, culprit.lines[:middle])])
+
+    def _retire(self, slot: _Slot, kill: bool = False) -> None:
+        """Forget the slot's worker and reap its process."""
+        process = slot.process
+        self.selector.unregister(slot.channel)
+        slot.channel.close()
+        slot.process = slot.channel = None
+        slot.inbox = bytearray()
+        slot.outbox = bytearray()
+        slot.held.clear()
+        if kill:
+            process.kill()
+        process.join(_STOP_TIMEOUT)
+        if process.exitcode is None:
+            process.kill()
+            process.join()
+        process.close()
 
 
 # ----------------------------------------------------------------------
@@ -454,93 +654,93 @@ def iter_results(
 ) -> Iterator[str]:
     """Evaluate task lines, yielding result lines in task order.
 
-    ``workers <= 1`` runs inline (no subprocesses); otherwise a pool of
-    ``workers`` processes shards the stream in chunks of ``chunk_size``
-    tasks.  ``cache_path`` names the shared persistent hom-count store
-    (a directory — or ``shards``/``memory_tier`` set — selects the
-    sharded tiered store; each worker opens only the shard files its
-    keys hash into); ``preload`` bounds how many stored counts each
-    worker seeds into its in-memory memo at startup.  An explicit ``session`` (inline
-    mode only — worker processes own their sessions) evaluates the
-    stream under caller-owned state: the request service passes its
-    resident session here so memo and store stay warm across streams.
-    ``metrics_sink`` (a dict) receives the merged monotonic metric
-    movement of the run — per-worker registry deltas summed under the
-    namespaced schema (:mod:`repro.obs`).
+    ``workers <= 1`` runs inline (no subprocesses); otherwise
+    ``workers`` forked processes evaluate the stream in chunks of
+    ``chunk_size`` tasks (see :class:`_WorkerPool`).  ``cache_path``
+    names the shared persistent hom-count store (a directory — or
+    ``shards``/``memory_tier`` set — selects the sharded tiered store;
+    the parent creates it and every shard file before forking);
+    ``preload`` bounds how many stored counts each worker seeds into
+    its in-memory memo at startup.  Rows reach the store through its
+    write-behind; the rest are flushed when the stream ends.  An
+    explicit ``session``
+    (inline mode only — worker processes own their sessions) evaluates
+    the stream under caller-owned state: the request service passes
+    its resident session here so memo and store stay warm across
+    streams.  ``metrics_sink`` (a dict) receives the merged monotonic
+    metric movement of the run — per-worker registry deltas summed
+    under the namespaced schema (:mod:`repro.obs`).
 
     Fault tolerance (DESIGN.md §14): a chunk whose worker dies is
     retried up to ``max_retries`` times with backoff, then bisected to
-    quarantine the poison task (see :class:`_PoolSupervisor`);
-    ``chunk_timeout`` (seconds) additionally treats a hung worker as a
-    dead one.  ``fault_plan`` (a :class:`~repro.faults.inject.FaultPlan`
-    spec dict) installs a deterministic fault plan in this process and
-    in every worker — the chaos lane's handle.
+    quarantine the poison task; ``chunk_timeout`` (seconds)
+    additionally treats a hung worker as a dead one.  ``fault_plan`` (a
+    :class:`~repro.faults.inject.FaultPlan` spec dict) installs a
+    deterministic fault plan in this process and in every worker — the
+    chaos lane's handle.
     """
-    chunk_size = max(1, chunk_size)
+    if session is not None:
+        if workers > 1:
+            raise ReproError(
+                "iter_results: session= requires workers <= 1 (worker "
+                "processes cannot share one in-memory session)")
+        if cache_path is not None:
+            raise ReproError(
+                "iter_results: pass either session= or cache_path=, "
+                "not both (the session already owns its store)")
+    if cache_path is None:
+        shards = memory_tier = None
     previous_plan = None
     if fault_plan is not None:
         previous_plan = install_fault_plan(FaultPlan(fault_plan))
-    if workers <= 1:
-        scoped = session
-        if session is not None:
-            if cache_path is not None:
-                raise ReproError(
-                    "iter_results: pass either session= or cache_path=, "
-                    "not both (the session already owns its store)")
-        else:
-            if cache_path is None:
-                shards = memory_tier = None
-            scoped = SolverSession(store_path=cache_path, preload=preload,
-                                   shards=shards, memory_tier=memory_tier)
-        before = (scoped.metrics.counters_snapshot()
-                  if metrics_sink is not None else {})
-        try:
-            for chunk in _chunks(lines, chunk_size):
-                for line in chunk:
-                    yield evaluate_line(line, scoped)
-                scoped.flush()
-        finally:
-            if metrics_sink is not None:
-                after = scoped.metrics.counters_snapshot()
-                merge_counter_snapshots(metrics_sink, {
-                    name: value - before.get(name, 0)
-                    for name, value in after.items()
-                    if value != before.get(name, 0)})
-            if scoped is not session:
-                scoped.close()
-            if fault_plan is not None:
-                install_fault_plan(previous_plan)
-        return
-    if session is not None:
-        raise ReproError(
-            "iter_results: session= requires workers <= 1 (worker "
-            "processes cannot share one in-memory session)")
-
-    # ProcessPoolExecutor rather than multiprocessing.Pool: a worker
-    # killed mid-task (OOM, segfault) raises BrokenProcessPool out of
-    # result() — Pool would silently lose the job and hang the batch.
-    # The supervisor owns restart / retry / bisect / quarantine.
-    supervisor = _PoolSupervisor(workers, cache_path, preload, fault_plan,
-                                 max_retries, chunk_timeout, metrics_sink,
-                                 shards=shards, memory_tier=memory_tier)
     try:
-        # Bounded in-flight window: submitting everything up front
-        # would buffer an arbitrarily large task stream in memory.
-        # Yielding the *oldest* pending chunk first keeps results in
-        # task order while at most `max_inflight` chunks are queued.
-        max_inflight = max(2, workers * 4)
-        inflight: "deque" = deque()
-
-        for chunk in _chunks(lines, chunk_size):
-            inflight.append((supervisor.submit(chunk), chunk))
-            if len(inflight) >= max_inflight:
-                yield from supervisor.drain(inflight)
-        while inflight:
-            yield from supervisor.drain(inflight)
+        if workers <= 1:
+            yield from _iter_inline(lines, session, cache_path, preload,
+                                    shards, memory_tier, metrics_sink)
+            return
+        if cache_path is not None:
+            _create_store(cache_path, shards, memory_tier)
+        chunk_size = max(1, chunk_size)
+        pool = _WorkerPool(workers, chunk_size,
+                           (cache_path, preload, fault_plan, shards,
+                            memory_tier),
+                           max_retries, chunk_timeout, metrics_sink)
+        try:
+            yield from pool.results(_chunks(lines, chunk_size))
+            pool.stop()
+        finally:
+            pool.close()
     finally:
-        supervisor.shutdown()
         if fault_plan is not None:
             install_fault_plan(previous_plan)
+
+
+def _iter_inline(lines: Iterable[str], session: Optional[SolverSession],
+                 cache_path: Optional[str], preload: int,
+                 shards: Optional[int], memory_tier: Optional[int],
+                 metrics_sink: Optional[Dict[str, float]]) -> Iterator[str]:
+    scoped = session
+    if scoped is None:
+        scoped = SolverSession(store_path=cache_path, preload=preload,
+                               shards=shards, memory_tier=memory_tier)
+    before = (scoped.metrics.counters_snapshot()
+              if metrics_sink is not None else {})
+    try:
+        for line in lines:
+            if line.strip():
+                yield evaluate_line(line, scoped)
+    finally:
+        # Publish the stream's rows before reading the counters, so
+        # the sink counts the flush.
+        scoped.flush()
+        if metrics_sink is not None:
+            after = scoped.metrics.counters_snapshot()
+            merge_counter_snapshots(metrics_sink, {
+                name: value - before.get(name, 0)
+                for name, value in after.items()
+                if value != before.get(name, 0)})
+        if scoped is not session:
+            scoped.close()
 
 
 def run_batch(

@@ -415,12 +415,15 @@ class TieredHomStore:
         try:
             connection.execute("PRAGMA journal_mode=WAL")
             connection.execute("PRAGMA synchronous=NORMAL")
-            self._check_shard_version(connection, path)
-            with connection:
-                for statement in _SCHEMA:
-                    connection.execute(statement)
-                connection.execute(
-                    f"PRAGMA user_version={SCHEMA_VERSION_V3}")
+            if self._check_shard_version(connection, path) == 0:
+                # A fresh file.  A stamped one got its tables in the
+                # stamping transaction, so reopening it writes nothing
+                # (and takes no write lock from a sibling process).
+                with connection:
+                    for statement in _SCHEMA:
+                        connection.execute(statement)
+                    connection.execute(
+                        f"PRAGMA user_version={SCHEMA_VERSION_V3}")
         except sqlite3.DatabaseError:
             try:
                 connection.close()
@@ -434,11 +437,11 @@ class TieredHomStore:
 
     @staticmethod
     def _check_shard_version(connection: sqlite3.Connection,
-                             path: str) -> None:
+                             path: str) -> int:
         version = connection.execute("PRAGMA user_version").fetchone()[0]
         if version in (SCHEMA_VERSION_V3, 0):
             # 0 = fresh file this open is about to stamp.
-            return
+            return version
         connection.close()
         raise StoreFormatError(
             f"shard file {path} has schema version {version}, this build "
@@ -832,10 +835,11 @@ class TieredHomStore:
             "shard_files": shard_files,
         }
 
-    def stats(self) -> Dict[str, int]:
+    def counters(self) -> Dict[str, int]:
+        """The monotonic counters of :meth:`stats`, without its row
+        counts: reads no SQL, so a metrics snapshot stays cheap however
+        large the store grows."""
         return {
-            "counts": self.counts_len(),
-            "exists": self.exists_len(),
             "lookups": self.lookups,
             "lookup_hits": self.lookup_hits,
             "inserts": self.inserts,
@@ -844,12 +848,17 @@ class TieredHomStore:
             "tier_hits": self.tier.hits,
             "tier_misses": self.tier.misses,
             "tier_evictions": self.tier.evictions,
-            "tier_entries": len(self.tier),
             "flush_batches": self.flush_batches,
             "flush_rows": self.flush_rows,
             "shard_opens": self.shard_opens,
-            "shards": self.shards,
         }
+
+    def stats(self) -> Dict[str, int]:
+        stats = {"counts": self.counts_len(), "exists": self.exists_len()}
+        stats.update(self.counters())
+        stats["tier_entries"] = len(self.tier)
+        stats["shards"] = self.shards
+        return stats
 
     def close(self) -> None:
         self.flush()

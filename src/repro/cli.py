@@ -695,8 +695,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="most-recently-recorded stored counts seeded "
                           "into each worker's memo at startup "
                           "(default: 2048)")
-    run.add_argument("--chunk-size", type=int, default=8, metavar="M",
-                     help="tasks per scheduling chunk (default: 8)")
+    run.add_argument("--chunk-size", type=int, default=2, metavar="M",
+                     help="tasks per scheduling chunk (default: 2)")
     run.add_argument("--resume", action="store_true",
                      help="skip task ids already answered in --output "
                           "and append the rest")

@@ -62,22 +62,26 @@ The HTTP/WebSocket facade for browser clients lives in
 from __future__ import annotations
 
 import asyncio
-import gc
 import heapq
 import itertools
 import json
-import multiprocessing
 import os
-import pickle
-import signal
 import socket
-import stat
 import sys
 import threading
 import time
 from collections import deque
 from typing import Dict, Iterable, IO, List, Optional, Tuple, Union
 
+from repro.batch.pipe import (
+    PIPE_DEPTH,
+    detach_from_parent,
+    frame,
+    read_message,
+    receive,
+    send_available,
+    spawn_worker,
+)
 from repro.batch.runner import evaluate_envelope, task_identity
 from repro.batch.tasks import canonical_json
 from repro.errors import ReproError
@@ -97,11 +101,6 @@ from repro.session import SolverSession
 DEFAULT_MAX_QUEUE = 256
 ASYNC_CONTROL_OPS = ("ping", "stats", "metrics", "drain", "shutdown",
                      "hello", "batch")
-
-#: Jobs one worker's pipe holds at once.  Two keep the worker busy
-#: while its last answer travels back; everything else waits in the
-#: parent, where priorities still apply.
-PIPE_DEPTH = 2
 
 #: Exit status of a worker killed by the ``serve.worker`` fault point.
 _FAULT_EXIT = 87
@@ -123,61 +122,8 @@ def usable_cpus() -> int:
 
 
 # ----------------------------------------------------------------------
-# The pipe between the event loop and a worker
-# ----------------------------------------------------------------------
-# A message is a pickled tuple behind a 4-byte big-endian length.  Both
-# ends are this program, so unpickling never sees foreign bytes.
-def _frame(message: tuple) -> bytes:
-    payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    return len(payload).to_bytes(4, "big") + payload
-
-
-def _read_message(reader) -> Optional[tuple]:
-    """The next message from a blocking reader; ``None`` at EOF."""
-    header = reader.read(4)
-    if len(header) < 4:
-        return None
-    payload = reader.read(int.from_bytes(header, "big"))
-    return pickle.loads(payload)
-
-
-# ----------------------------------------------------------------------
 # Worker processes
 # ----------------------------------------------------------------------
-def _detach_from_parent(channel: socket.socket) -> None:
-    """Undo what ``fork`` copied from the event-loop process.
-
-    The parent's signal handlers (SIGTERM drains *it*; SIGINT belongs
-    to its loop) are reset: the parent stops its workers itself, after
-    draining.  Every inherited socket but this worker's own pipe is
-    closed — sibling workers' pipe ends (else no worker would see EOF
-    when the parent dies), and, in a worker forked to replace a dead
-    one, the listening and client sockets (else a closed connection
-    or a released port would stay open in here).  ``gc.freeze`` first:
-    the parent's objects are then never collected in this process, so
-    none of them closes an fd number this process has since reused.
-    """
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.set_wakeup_fd(-1)
-    gc.freeze()
-    # A stdio daemon's stdout buffer may hold a response line another
-    # thread was writing at the fork; this copy must never flush it.
-    sys.stdout = open(os.devnull, "w", encoding="utf-8")
-    keep = channel.fileno()
-    directory = "/proc/self/fd" if os.path.isdir("/proc/self/fd") \
-        else "/dev/fd"
-    for name in os.listdir(directory):
-        fd = int(name)
-        if fd <= 2 or fd == keep:
-            continue
-        try:
-            if stat.S_ISSOCK(os.fstat(fd).st_mode):
-                os.close(fd)
-        except OSError:  # the listing's own descriptor, already gone
-            pass
-
-
 class _WorkerState:
     """What one worker process owns: its tenants' sessions and one
     store shared among them through :class:`LockedStore`."""
@@ -267,12 +213,12 @@ def _worker_main(channel: socket.socket, config: tuple) -> None:
     says stop (or the pipe closes), then return — so the process exits
     through multiprocessing's finalizers, after the store's
     write-behind rows are flushed."""
-    _detach_from_parent(channel)
+    detach_from_parent(channel)
     state = _WorkerState(*config)
     reader = channel.makefile("rb")
     try:
         while True:
-            message = _read_message(reader)
+            message = read_message(reader)
             if message is None:  # the parent is gone
                 return
             op = message[0]
@@ -293,9 +239,9 @@ def _worker_main(channel: socket.socket, config: tuple) -> None:
             else:  # "stop"
                 if state.store is not None:
                     state.store.flush()
-                channel.sendall(_frame(("stop", state.report())))
+                channel.sendall(frame(("stop", state.report())))
                 return
-            channel.sendall(_frame(reply))
+            channel.sendall(frame(reply))
     except (BrokenPipeError, ConnectionResetError):  # the parent died
         return
     finally:
@@ -529,18 +475,10 @@ class AsyncSolverService:
     # Worker processes
     # ------------------------------------------------------------------
     def _spawn(self, slot: _Slot) -> None:
-        parent_end, child_end = socket.socketpair()
-        process = multiprocessing.get_context("fork").Process(
-            target=_worker_main, args=(child_end, self._worker_config),
-            name=f"repro-serve-worker-{slot.index}", daemon=True)
-        try:
-            process.start()
-        finally:
-            child_end.close()
-        parent_end.setblocking(False)
-        slot.process = process
-        slot.channel = parent_end
-        self._loop.add_reader(parent_end.fileno(), self._on_readable, slot)
+        slot.process, slot.channel = spawn_worker(
+            _worker_main, self._worker_config,
+            f"repro-serve-worker-{slot.index}")
+        self._loop.add_reader(slot.channel.fileno(), self._on_readable, slot)
 
     def _detach(self, slot: _Slot):
         """Forget the slot's worker; returns its process to reap."""
@@ -597,25 +535,12 @@ class AsyncSolverService:
         self._pump(slot)
 
     def _on_readable(self, slot: _Slot) -> None:
-        try:
-            data = slot.channel.recv(1 << 18)
-        except (BlockingIOError, InterruptedError):
-            return
-        except OSError:
-            data = b""
-        if not data:
+        messages = receive(slot.channel, slot.inbox)
+        if messages is None:
             self._lost(slot)
             return
-        inbox = slot.inbox
-        inbox += data
-        offset = 0
-        while len(inbox) - offset >= 4:
-            end = offset + 4 + int.from_bytes(inbox[offset:offset + 4], "big")
-            if end > len(inbox):
-                break
-            self._on_message(slot, pickle.loads(inbox[offset + 4:end]))
-            offset = end
-        del inbox[:offset]
+        for message in messages:
+            self._on_message(slot, message)
 
     def _on_message(self, slot: _Slot, message: tuple) -> None:
         if message[0] == "job":
@@ -640,25 +565,14 @@ class AsyncSolverService:
         if slot.outbox:
             slot.outbox += data
             return
-        try:
-            sent = slot.channel.send(data)
-        except (BlockingIOError, InterruptedError):
-            sent = 0
-        except OSError:  # the worker is gone; its EOF cleans up
-            return
+        sent = send_available(slot.channel, data)
         if sent < len(data):
             slot.outbox += memoryview(data)[sent:]
             self._loop.add_writer(slot.channel.fileno(), self._on_writable,
                                   slot)
 
     def _on_writable(self, slot: _Slot) -> None:
-        try:
-            sent = slot.channel.send(slot.outbox)
-        except (BlockingIOError, InterruptedError):
-            return
-        except OSError:  # the worker is gone; its EOF cleans up
-            sent = len(slot.outbox)
-        del slot.outbox[:sent]
+        del slot.outbox[:send_available(slot.channel, slot.outbox)]
         if not slot.outbox:
             self._loop.remove_writer(slot.channel.fileno())
 
@@ -667,14 +581,14 @@ class AsyncSolverService:
         worker's report, or ``None`` if it dies first."""
         future = self._loop.create_future()
         slot.waiters.append(future)
-        self._write(slot, _frame(message))
+        self._write(slot, frame(message))
         return future
 
     def _drop_session(self, tenant: Tenant) -> None:
         slot = self._slots[tenant.worker]
         if tenant.name in slot.sessions:
             slot.sessions.discard(tenant.name)
-            self._write(slot, _frame(("drop", tenant.name)))
+            self._write(slot, frame(("drop", tenant.name)))
 
     # ------------------------------------------------------------------
     # Admission + dispatch
@@ -765,7 +679,7 @@ class AsyncSolverService:
                 slot.sessions.add(name)
                 quota = job.tenant.quota
             slot.held.append(entry)
-            frames.append(_frame(("job", name, quota, job.line, job.rid)))
+            frames.append(frame(("job", name, quota, job.line, job.rid)))
         self._write(slot, b"".join(frames))
 
     def _finish(self, job: _Job, response: str, kind: Optional[str],

@@ -43,9 +43,10 @@ class LockedStore:
 
     Implements the engine's duck-typed store protocol (``lookup`` /
     ``record`` / ``lookup_exists`` / ``record_exists`` / ``flush`` /
-    ``stats``) by delegating under one lock.  Every tenant session in a
-    worker process borrows this wrapper, so the worker's tenant engines
-    share one warm persistent cache, which the wrapper closes once.
+    ``stats`` / ``counters``) by delegating under one lock.  Every
+    tenant session in a worker process borrows this wrapper, so the
+    worker's tenant engines share one warm persistent cache, which the
+    wrapper closes once.
     """
 
     __slots__ = ("_store", "_lock")
@@ -83,6 +84,11 @@ class LockedStore:
         with self._lock:
             stats = getattr(self._store, "stats", None)
             return stats() if stats else {}
+
+    def counters(self) -> Dict[str, int]:
+        with self._lock:
+            counters = getattr(self._store, "counters", None)
+            return counters() if counters else {}
 
     def close(self) -> None:
         with self._lock:

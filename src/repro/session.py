@@ -190,17 +190,15 @@ class SolverSession:
     def tasks_budget_exceeded(self) -> int:
         return self._m_budget_exceeded.value
 
-    def _store_stats(self) -> Dict[str, int]:
-        store = self.engine.store
-        if store is None:
-            return {}
-        stats = getattr(store, "stats", None)
-        return stats() if stats else {}
+    def _store_read(self, method: str) -> Dict[str, int]:
+        read = getattr(self.engine.store, method, None)
+        return read() if read else {}
 
     # stats() key -> metric name, per kind.  The tier/flush/shard keys
     # only appear when the attached store is the tiered one; the
     # single-file store's stats simply lack them, so the mapping is
-    # shared by both store classes.
+    # shared by both store classes.  Counters come from the store's
+    # SQL-free counters(); only the gauges pay for stats()' row counts.
     _STORE_COUNTER_METRICS = {
         "lookups": "store.lookups",
         "lookup_hits": "store.lookup_hits",
@@ -222,13 +220,13 @@ class SolverSession:
     }
 
     def _collect_store_counters(self) -> Dict[str, int]:
-        stats = self._store_stats()
-        return {name: stats[key]
+        counters = self._store_read("counters")
+        return {name: counters[key]
                 for key, name in self._STORE_COUNTER_METRICS.items()
-                if key in stats}
+                if key in counters}
 
     def _collect_store_gauges(self) -> Dict[str, int]:
-        stats = self._store_stats()
+        stats = self._store_read("stats")
         return {name: stats[key]
                 for key, name in self._STORE_GAUGE_METRICS.items()
                 if key in stats}

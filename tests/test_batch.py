@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import signal
+import time
 
 import pytest
 
+from repro.batch import runner
 from repro.batch.cache import SQLiteHomStore
 from repro.batch.runner import evaluate_line, iter_results, run_batch
 from repro.batch.scenarios import generate_scenario, write_scenario
@@ -24,6 +29,12 @@ from repro.cli import main
 from repro.hom.engine import HomEngine
 from repro.queries.parser import parse_boolean_cq, parse_path, parse_ucq
 from repro.structures.generators import clique_structure, path_structure
+
+
+@pytest.fixture(autouse=True)
+def _no_worker_outlives_its_batch():
+    yield
+    assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------
@@ -377,6 +388,101 @@ class TestRunner:
         record = json.loads(evaluate_line("garbage", engine))
         assert record["ok"] is False
         assert record["id"] is None
+
+
+class TestWorkerPool:
+    """The forked workers on socketpair pipes behind ``workers > 1``."""
+
+    LINES = _scenario_lines("mixed", 24, seed=12)
+
+    @pytest.mark.parametrize("chunk_size", [1, 2, 8])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_bytes_identical_at_every_layout(self, tmp_path, workers,
+                                             chunk_size):
+        expected = list(iter_results(self.LINES, workers=1))
+        pooled = list(iter_results(self.LINES, workers=workers,
+                                   chunk_size=chunk_size, shards=3,
+                                   cache_path=str(tmp_path / "store")))
+        assert pooled == expected
+
+    def test_more_workers_than_cores_answer_every_task_once_in_order(self):
+        lines = _scenario_lines("mixed", 240, seed=13)
+        workers = len(os.sched_getaffinity(0)) + 1
+        started = time.monotonic()
+        results = list(iter_results(lines, workers=workers))
+        assert time.monotonic() - started < 120
+        assert [_line_id_of(line) for line in results] == \
+            [_line_id_of(line) for line in lines]
+
+    def test_early_close_kills_and_reaps_every_worker(self):
+        results = iter_results(self.LINES, workers=2)
+        first = [next(results) for _ in range(3)]
+        assert multiprocessing.active_children()
+        results.close()
+        assert multiprocessing.active_children() == []
+        assert first == list(iter_results(self.LINES[:3], workers=1))
+
+    def test_stream_ends_when_a_full_window_drains_at_once(self,
+                                                           monkeypatch):
+        # The slow first task keeps the run-ahead window full until
+        # every other answer is in; then all of them come out together,
+        # and the stream must still end (not wait for work it never
+        # sent).
+        lines = self.LINES[:2]
+        expected = list(iter_results(lines, workers=1))
+        evaluate = runner.evaluate_line
+
+        def slow_first(line, context):
+            if line == lines[0]:
+                time.sleep(0.3)
+            return evaluate(line, context)
+
+        def out_of_time(signum, frame):
+            raise TimeoutError("the result stream did not end")
+
+        monkeypatch.setattr(runner, "evaluate_line", slow_first)
+        monkeypatch.setattr(runner, "_RUN_AHEAD_CHUNKS", 1)
+        previous = signal.signal(signal.SIGALRM, out_of_time)
+        signal.alarm(30)
+        try:
+            results = list(iter_results(lines, workers=2, chunk_size=1))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert results == expected
+
+    def test_line_larger_than_the_pipe_buffer(self):
+        # Far more than a socket buffer takes at once: the rest waits in
+        # the slot's outbox while the parent keeps reading answers.
+        big = canonical_json({"id": "big", "kind": "hom-count",
+                              "pad": "x" * (4 << 20)})
+        lines = [big] + _scenario_lines("hom", 3, seed=15)
+        assert list(iter_results(lines, workers=2, chunk_size=1)) == \
+            list(iter_results(lines, workers=1))
+
+    def test_rerun_on_a_store_the_pool_filled_computes_nothing(self,
+                                                               tmp_path):
+        # Every worker flushes its write-behind rows at the stop
+        # message, so nothing the cold run computed is lost.
+        store = str(tmp_path / "store")
+        cold = list(iter_results(self.LINES, workers=2, cache_path=store,
+                                 shards=4))
+        metrics = {}
+        warm = list(iter_results(self.LINES, workers=1, cache_path=store,
+                                 shards=4, metrics_sink=metrics))
+        assert warm == cold
+        assert metrics.get("engine.count.backtrack", 0) \
+            + metrics.get("engine.count.dp", 0) == 0
+        assert metrics.get("engine.store.misses", 0) == 0
+
+    def test_run_metrics_merge_every_worker(self, tmp_path):
+        metrics = {}
+        list(iter_results(self.LINES, workers=2, metrics_sink=metrics,
+                          cache_path=str(tmp_path / "store"), shards=2))
+        assert metrics["session.tasks.evaluated"] == len(self.LINES)
+        # Too few rows for the write-behind: every row was published by
+        # the flush at the stop message, whose reply carries its delta.
+        assert metrics["store.flush.rows"] == metrics["store.inserts"] > 0
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
+from repro import benchsuite
 from repro.benchsuite import format_report, run_benchmarks, write_report
 from repro.cli import main
 
@@ -57,25 +60,45 @@ def _check_report_schema(report):
         assert isinstance(stats[field], int)
 
 
-def test_run_benchmarks_schema():
-    _check_report_schema(run_benchmarks(repeat=1))
+@pytest.fixture(scope="module")
+def report():
+    """One full suite run (seconds), shared by the tests that only read
+    a report; ``repeat=0`` is clamped to one."""
+    return run_benchmarks(repeat=0)
 
 
-def test_repeat_is_clamped_to_one():
-    report = run_benchmarks(repeat=0)
+@pytest.fixture
+def reused(report, monkeypatch):
+    """``write_report`` and the CLI reuse the shared run; returns the
+    ``repeat`` values they asked for."""
+    calls = []
+
+    def shared_run(repeat: int = 3):
+        calls.append(repeat)
+        return report
+
+    monkeypatch.setattr(benchsuite, "run_benchmarks", shared_run)
+    return calls
+
+
+def test_run_benchmarks_schema(report):
+    _check_report_schema(report)
+
+
+def test_repeat_is_clamped_to_one(report):
     assert report["repeat"] == 1
 
 
-def test_write_report_round_trips(tmp_path):
+def test_write_report_round_trips(tmp_path, reused):
     path = tmp_path / "bench.json"
     report = write_report(path=str(path), repeat=1)
+    assert reused == [1]
     on_disk = json.loads(path.read_text())
     _check_report_schema(on_disk)
     assert set(on_disk["workloads"]) == set(report["workloads"])
 
 
-def test_format_report_mentions_every_workload():
-    report = run_benchmarks(repeat=1)
+def test_format_report_mentions_every_workload(report):
     text = format_report(report)
     for name in EXPECTED_WORKLOADS:
         assert name in text
@@ -83,6 +106,7 @@ def test_format_report_mentions_every_workload():
 
 
 def test_cli_bench_json_output(tmp_path, capsys):
+    # The one test that runs the suite end to end through the CLI.
     path = tmp_path / "bench.json"
     assert main(["bench", "--json", "--output", str(path), "--repeat", "1"]) == 0
     out = capsys.readouterr().out
@@ -90,10 +114,11 @@ def test_cli_bench_json_output(tmp_path, capsys):
     _check_report_schema(json.loads(path.read_text()))
 
 
-def test_cli_bench_output_flag_implies_json(tmp_path):
+def test_cli_bench_output_flag_implies_json(tmp_path, reused):
     path = tmp_path / "bench.json"
     assert main(["bench", "--output", str(path), "--repeat", "1"]) == 0
     assert path.exists()
+    assert reused == [1]
 
 
 # ----------------------------------------------------------------------

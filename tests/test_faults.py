@@ -9,17 +9,20 @@ fault plan changes nothing.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import random
 import sqlite3
 import time
 
 import pytest
 
+from repro.batch import runner
 from repro.batch.cache import SQLiteHomStore, StoreFormatError
 from repro.batch.runner import (
     _truncate_torn_tail,
     iter_results,
     run_batch,
+    task_identity,
 )
 from repro.batch.scenarios import generate_scenario, write_scenario
 from repro.batch.tasks import canonical_json, make_hom_count_task
@@ -47,6 +50,12 @@ def _no_leaked_plan():
     clear_fault_plan()
     yield
     clear_fault_plan()
+
+
+@pytest.fixture(autouse=True)
+def _no_worker_outlives_its_batch():
+    yield
+    assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------
@@ -268,6 +277,32 @@ class TestWorkerSupervision:
                                   fault_plan=plan))
         assert again == chaos
 
+    def test_hung_task_is_quarantined_after_chunk_timeout(self,
+                                                          monkeypatch):
+        lines = self._tasks()
+        clean = list(iter_results(lines, workers=2, chunk_size=2))
+        evaluate_line = runner.evaluate_line
+
+        def hang_on_one_task(line, context):
+            if task_identity(line)[0] == "hc-00005":
+                time.sleep(3600)
+            return evaluate_line(line, context)
+
+        # Patched before the workers fork, so they inherit it.
+        monkeypatch.setattr(runner, "evaluate_line", hang_on_one_task)
+        metrics = {}
+        hung = list(iter_results(lines, workers=2, chunk_size=2,
+                                 chunk_timeout=0.5, max_retries=1,
+                                 metrics_sink=metrics))
+        assert len(hung) == len(clean)
+        for before, after in zip(clean, hung):
+            if json.loads(before)["id"] == "hc-00005":
+                assert json.loads(after)["quarantined"] is True
+            else:
+                assert after == before
+        assert metrics["batch.tasks.quarantined"] == 1
+        assert metrics["batch.worker.restarts"] >= 1
+
 
 # ----------------------------------------------------------------------
 # Store self-healing
@@ -454,7 +489,8 @@ class TestRunBatchFaults:
         tasks = tmp_path / "tasks.jsonl"
         with open(tasks, "w") as sink:
             write_scenario(generate_scenario("mixed", 6, seed=4), sink)
-        first = json.loads(open(tasks).readline())["id"]
+        with open(tasks) as handle:
+            first = json.loads(handle.readline())["id"]
         out = tmp_path / "out.jsonl"
         summary = run_batch(
             str(tasks), str(out), workers=2, chunk_size=2,

@@ -20,6 +20,7 @@ from repro.batch.store import (
     open_store,
     shard_of,
 )
+from repro.session import SolverSession
 from repro.structures.canonical import canonical_key
 from repro.structures.generators import clique_structure, path_structure
 
@@ -300,6 +301,37 @@ class TestPreload:
 
 
 # ----------------------------------------------------------------------
+# Session metrics over a store
+# ----------------------------------------------------------------------
+class TestStoreMetrics:
+    @pytest.mark.parametrize("layout", ["single-file", "sharded"])
+    def test_counters_snapshot_runs_no_sql(self, tmp_path, layout):
+        # Row counts are gauges: the counters slice a batch worker
+        # reports after every chunk must not scan the store for them.
+        if layout == "single-file":
+            path, knobs = str(tmp_path / "cache.sqlite"), {}
+        else:
+            path, knobs = str(tmp_path / "store"), {"shards": 2}
+        statements = []
+        with SolverSession(store_path=path, **knobs) as session:
+            for source in _sources(6):
+                session.count(source, TGT)
+            session.flush()
+            store = session.store
+            store.stats()  # opens every shard file there is
+            connections = ([store._connection] if layout == "single-file"
+                           else list(store._connections.values()))
+            for connection in connections:
+                connection.set_trace_callback(statements.append)
+            counters = session.metrics.counters_snapshot()
+            assert statements == []
+            assert counters["store.inserts"] == 6
+            assert "store.counts" not in counters
+            assert session.metrics.snapshot()["store.counts"] == 6
+            assert statements
+
+
+# ----------------------------------------------------------------------
 # Tooling: merge / compact / warm packs (library + CLI)
 # ----------------------------------------------------------------------
 class TestTooling:
@@ -322,7 +354,8 @@ class TestTooling:
                 store.record(src, TGT, index)
             store.record_exists(SRC, TGT, True)
             assert export_warm_pack(store, pack) == 7
-        header = json.loads(open(pack, encoding="utf-8").readline())
+        with open(pack, encoding="utf-8") as handle:
+            header = json.loads(handle.readline())
         assert header == {"format": "repro-warm-pack", "version": 1}
         with TieredHomStore(str(tmp_path / "b"), shards=4) as cold:
             assert import_warm_pack(cold, pack) == 7
