@@ -17,8 +17,8 @@ run asserts, against a single seeded :class:`repro.faults.FaultPlan`:
 * **deadlines** — a pinned adversarial request (``K7 → K25`` under
   ``deadline_ms=50``) comes back as a structured ``budget-exceeded``
   error in well under 500 ms and does not poison later requests;
-* **async-daemon worker kills** — the poisoned task kills its
-  ``serve start --async`` worker process (``os._exit``); that request
+* **daemon worker kills** — the poisoned task kills its
+  ``serve start`` worker process (``os._exit``); that request
   alone is answered with a deterministic ``worker-crash`` record, every
   other answer is byte-identical to a clean run, a fresh worker takes
   over, and the daemon keeps serving, then drains and exits 0.
@@ -39,7 +39,6 @@ import socket
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 
 sys.path.insert(0, "src")
@@ -52,7 +51,7 @@ from repro.faults import (  # noqa: E402
     clear_fault_plan,
     install_fault_plan,
 )
-from repro.service import DaemonClient, SolverService, serve_socket  # noqa: E402
+from repro.service import AsyncDaemonHandle, DaemonClient  # noqa: E402
 from repro.structures.generators import clique_structure  # noqa: E402
 
 CHAOS_SEED = 29
@@ -119,57 +118,49 @@ def check_batch_under_faults(workdir: str) -> None:
 
 
 def check_daemon_under_faults() -> None:
-    service = SolverService(workers=2, request_deadline_ms=5000.0)
-    ready = threading.Event()
-    bound: list = []
-    server = threading.Thread(
-        target=serve_socket, args=(service,),
-        kwargs={"port": 0, "ready": ready, "bound": bound}, daemon=True)
-    server.start()
-    if not ready.wait(10):
-        fail("daemon did not come up")
-    host, port = bound[0]
+    with AsyncDaemonHandle(workers=2, request_deadline_ms=5000.0) as handle:
+        host, port = handle.address
 
-    # Two injected connection refusals, absorbed by retry/backoff.
-    install_fault_plan(FaultPlan({"seed": CHAOS_SEED,
-                                  "client.connect": [0, 1]}))
-    try:
-        client = DaemonClient(host, port, retries=3)
-        answer = client.ping()
-    finally:
-        clear_fault_plan()
-    if not answer.get("ok") or client.connect_failures != 2:
-        fail(f"connect-flap retry broken: answer={answer} "
-             f"failures={client.connect_failures}")
+        # Two injected connection refusals, absorbed by retry/backoff.
+        install_fault_plan(FaultPlan({"seed": CHAOS_SEED,
+                                      "client.connect": [0, 1]}))
+        try:
+            client = DaemonClient(host, port, retries=3)
+            answer = client.ping()
+        finally:
+            clear_fault_plan()
+        if not answer.get("ok") or client.connect_failures != 2:
+            fail(f"connect-flap retry broken: answer={answer} "
+                 f"failures={client.connect_failures}")
 
-    # Pinned adversarial instance: a clique source into a big clique
-    # target maximizes the counting kernels' branching.
-    adversarial = make_hom_count_task(
-        "adv-0",
-        clique_structure(7, relation="E"),
-        clique_structure(25, relation="E"))
-    adversarial["deadline_ms"] = 50
-    started = time.perf_counter()
-    record = client.request_line(canonical_json(adversarial))
-    elapsed_ms = (time.perf_counter() - started) * 1000
-    if record.get("error_kind") != "budget-exceeded":
-        fail(f"adversarial request was not budget-limited: {record}")
-    if elapsed_ms >= 500:
-        fail(f"budget-exceeded answer took {elapsed_ms:.0f}ms (>=500ms)")
+        # Pinned adversarial instance: a clique source into a big clique
+        # target maximizes the counting kernels' branching.
+        adversarial = make_hom_count_task(
+            "adv-0",
+            clique_structure(7, relation="E"),
+            clique_structure(25, relation="E"))
+        adversarial["deadline_ms"] = 50
+        started = time.perf_counter()
+        record = client.request_line(canonical_json(adversarial))
+        elapsed_ms = (time.perf_counter() - started) * 1000
+        if record.get("error_kind") != "budget-exceeded":
+            fail(f"adversarial request was not budget-limited: {record}")
+        if elapsed_ms >= 500:
+            fail(f"budget-exceeded answer took {elapsed_ms:.0f}ms "
+                 f"(>=500ms)")
 
-    # Later requests are not poisoned.
-    follow_up = make_hom_count_task(
-        "ok-0", clique_structure(2, relation="E"),
-        clique_structure(3, relation="E"))
-    if not client.request_line(canonical_json(follow_up)).get("ok"):
-        fail("request after budget trip failed")
-    stats = client.stats()["stats"]["service"]
-    if stats.get("budget_exceeded") != 1:
-        fail(f"service.request.budget_exceeded miscounted: {stats}")
+        # Later requests are not poisoned.
+        follow_up = make_hom_count_task(
+            "ok-0", clique_structure(2, relation="E"),
+            clique_structure(3, relation="E"))
+        if not client.request_line(canonical_json(follow_up)).get("ok"):
+            fail("request after budget trip failed")
+        stats = client.stats()["stats"]["service"]
+        if stats.get("budget_exceeded") != 1:
+            fail(f"service.request.budget_exceeded miscounted: {stats}")
 
-    client.shutdown()
-    server.join(10)
-    service.close()
+        client.shutdown()
+        client.close()
     print(f"chaos check: daemon OK — 2 connect flaps absorbed, "
           f"budget-exceeded in {elapsed_ms:.0f}ms, follow-up clean")
 
@@ -199,7 +190,7 @@ def check_async_daemon_under_faults(workdir: str) -> None:
                PYTHONPATH=os.pathsep.join(
                    [os.path.abspath("src"), os.environ.get("PYTHONPATH", "")]))
     daemon = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "start", "--async",
+        [sys.executable, "-m", "repro", "serve", "start",
          "--port", str(port), "--workers", "2",
          "--tenant-max-inflight", "64", "--no-request-log"],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)

@@ -8,7 +8,7 @@ bare ``python`` regardless of how the package is (not) installed.
 
 Usage::
 
-    python -m repro.cli serve start --port 7799 --async &
+    python -m repro.cli serve start --port 7799 &
     python scripts/load_gen.py --port 7799 --clients 16 \
         --requests 25 --transport persistent
 

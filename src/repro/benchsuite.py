@@ -23,15 +23,14 @@ E-series benchmarks in ``benchmarks/``:
   backtracking on bounded-treewidth sources (a 3×4 grid and a long
   chained join) into a dense target, plus an assertion that cost-based
   plan selection picks the DP on its own;
-* ``service_throughput``     — E17: a warm ``repro serve`` session
-  answering a mixed request stream vs cold per-invocation dispatch
-  (fresh session per task — the one-shot CLI cost model), results
-  byte-compared before timing;
+* ``service_throughput``     — E17: one warm session answering a
+  mixed request stream (the per-request work of a ``repro serve``
+  worker) vs cold per-invocation dispatch (fresh session per task —
+  the one-shot CLI cost model), results byte-compared before timing;
 * ``service_concurrency``    — E21: 16 closed-loop clients against the
-  async daemon over persistent connections vs the threaded daemon with
-  a fresh connection per request (the legacy client's cost model) —
-  throughput plus p50/p99 tail latency, results byte-compared against
-  single-threaded batch evaluation before timing;
+  daemon over persistent connections — throughput plus p50/p99 tail
+  latency, results byte-compared against single-threaded batch
+  evaluation before timing;
 * ``linalg_det``             — Bareiss fraction-free determinant vs the
   textbook Fraction-Gauss reference on a radix-style integer matrix.
 
@@ -381,15 +380,15 @@ def run_benchmarks(repeat: int = 3) -> Dict[str, object]:
 
     # -------------------------------------------------- service_throughput
     # E17: what the resident service buys over one-shot dispatch.  The
-    # same mixed request stream is answered (a) by a warm SolverService
-    # — one session across all requests, the deployment `repro serve`
-    # runs — and (b) cold, with a fresh session per task: the per-
-    # invocation CLI cost model minus process startup (so the measured
-    # speedup is a *lower bound* on the real serve-vs-CLI win).
+    # same mixed request stream is answered (a) warm — one session
+    # across all requests running evaluate_line, the per-request work a
+    # `repro serve` worker does for its tenant — and (b) cold, with a
+    # fresh session per task: the per-invocation CLI cost model minus
+    # process startup (so the measured speedup is a *lower bound* on
+    # the real serve-vs-CLI win).
     from repro.batch.runner import evaluate_line
     from repro.batch.scenarios import generate_scenario
     from repro.batch.tasks import canonical_json, make_hom_count_task
-    from repro.service import SolverService
 
     # Production-shaped stream: requests repeat a small catalog of
     # counting shapes against stable dense targets (the hit pattern a
@@ -416,9 +415,8 @@ def run_benchmarks(repeat: int = 3) -> Dict[str, object]:
             f"svc-{index:03d}", source, svc_rng.choice(svc_targets))))
 
     def serve_warm() -> List[str]:
-        with SolverService(workers=1) as service:
-            results = [service.handle_line(line) for line in stream]
-        return results
+        with bench_session() as session:
+            return [evaluate_line(line, session) for line in stream]
 
     def dispatch_cold() -> List[str]:
         return [evaluate_line(line, bench_session()) for line in stream]
@@ -536,25 +534,14 @@ def run_benchmarks(repeat: int = 3) -> Dict[str, object]:
     }
 
     # -------------------------------------------------- service_concurrency
-    # E21: concurrency as a measured dimension.  The same 16 closed-loop
-    # clients drive (a) the threaded daemon with a fresh TCP connection
-    # per request — the legacy DaemonClient cost model: dial + handler
-    # thread per request, every evaluation behind one engine lock — and
-    # (b) the async daemon over persistent connections — one event loop
-    # multiplexing all clients, per-tenant sessions dispatched to a
-    # bounded executor.  Both daemons must answer every request with
-    # exactly the bytes single-threaded batch evaluation produces
-    # before either is timed.  Timings are wall-clock per request at
-    # 16 clients (connection setup for persistent clients happens
-    # before the measured window; the per-request dial is *inside* it,
-    # because that dial is the cost under ablation).
-    import threading
-
-    from repro.service import (
-        AsyncDaemonHandle,
-        SolverService,
-        serve_socket,
-    )
+    # E21: concurrency as a measured dimension.  16 closed-loop clients
+    # drive the daemon over persistent connections — one event loop
+    # multiplexing all clients, per-tenant sessions in worker
+    # processes.  The daemon must answer every request with exactly the
+    # bytes single-threaded batch evaluation produces before it is
+    # timed.  Timings are wall-clock per request at 16 clients
+    # (connection setup happens before the measured window).
+    from repro.service import AsyncDaemonHandle
     from repro.service.client import DaemonClient
     from repro.service.loadgen import default_task_lines, run_load
 
@@ -565,44 +552,15 @@ def run_benchmarks(repeat: int = 3) -> Dict[str, object]:
     conc_expected = [evaluate_line(line, bench_session())
                      for line in conc_lines]
 
-    def check_parity(host: str, port: int) -> None:
-        probe = DaemonClient(host=host, port=port)
+    with AsyncDaemonHandle(workers=4) as async_handle:
+        as_host, as_port = async_handle.address
+        probe = DaemonClient(host=as_host, port=as_port)
         try:
             for line, expected in zip(conc_lines, conc_expected):
                 got = canonical_json(probe.request_line(line))
                 assert got == expected  # serving must not change answers
         finally:
             probe.close()
-
-    threaded_service = SolverService(workers=4)
-    threaded_ready = threading.Event()
-    threaded_bound: List[tuple] = []
-    threaded_thread = threading.Thread(
-        target=serve_socket, args=(threaded_service,),
-        kwargs={"port": 0, "ready": threaded_ready,
-                "bound": threaded_bound},
-        daemon=True)
-    threaded_thread.start()
-    threaded_ready.wait(timeout=10)
-    th_host, th_port = threaded_bound[0]
-    check_parity(th_host, th_port)
-
-    def threaded_run():
-        report = run_load(th_host, th_port, conc_lines,
-                          clients=conc_clients,
-                          requests_per_client=conc_requests,
-                          transport="per-request")
-        assert report.errors == 0
-        return report
-
-    threaded_reports = [threaded_run() for _ in range(repeat)]
-    DaemonClient(host=th_host, port=th_port, persistent=False).shutdown()
-    threaded_thread.join(timeout=10)
-    threaded_service.close()
-
-    with AsyncDaemonHandle(workers=4) as async_handle:
-        as_host, as_port = async_handle.address
-        check_parity(as_host, as_port)
 
         def async_run():
             report = run_load(as_host, as_port, conc_lines,
@@ -614,19 +572,10 @@ def run_benchmarks(repeat: int = 3) -> Dict[str, object]:
 
         async_reports = [async_run() for _ in range(repeat)]
 
-    threaded_best = min(r.elapsed_s for r in threaded_reports)
-    async_best = min(r.elapsed_s for r in async_reports)
-    threaded_fast = min(threaded_reports, key=lambda r: r.elapsed_s)
     async_fast = min(async_reports, key=lambda r: r.elapsed_s)
     workloads["service_concurrency"] = {
-        "threaded_per_request_s": threaded_best / conc_total,
-        "async_persistent_s": async_best / conc_total,
-        "speedup": threaded_best / async_best
-        if async_best else float("inf"),
-        "threaded_throughput_rps": threaded_fast.throughput_rps,
+        "async_persistent_s": async_fast.elapsed_s / conc_total,
         "async_throughput_rps": async_fast.throughput_rps,
-        "threaded_p50_ms": threaded_fast.p50_ms,
-        "threaded_p99_ms": threaded_fast.p99_ms,
         "async_p50_ms": async_fast.p50_ms,
         "async_p99_ms": async_fast.p99_ms,
         "clients": float(conc_clients),
@@ -697,7 +646,6 @@ ABLATION_KEYS = frozenset({
     "dp_set_s",
     "singlefile_record_s",
     "singlefile_lookup_s",
-    "threaded_per_request_s",
 })
 
 

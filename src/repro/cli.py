@@ -33,14 +33,13 @@ daemon — with verbs underneath (the ``kubectl``-style noun/verb idiom):
                   compact pack that ``serve start --preload-pack``
                   ships into a cold replica.
 ``serve start``   resident mode: a long-running daemon answering the
-                  batch task codec over stdio (default) or TCP, one
-                  warm solver session shared across every request.
-                  ``--async`` runs the asyncio front end instead:
-                  per-tenant sessions in worker processes (one per
-                  usable CPU), priorities, backpressure, and an
+                  batch task codec over stdio (default) or TCP, with
+                  warm per-tenant sessions in worker processes (one
+                  per usable CPU), priorities, backpressure, and an
                   optional ``--http-port`` HTTP/WebSocket facade.
 ``serve ping``    liveness probe against a running TCP daemon.
-``serve stats``   legacy nested statistics from a running daemon.
+``serve stats``   nested statistics (service, summed worker counters,
+                  tenants, workers) from a running daemon.
 ``serve metrics`` full namespaced metrics snapshot (``--prometheus``
                   for text exposition) from a running daemon.
 ``serve drain``   ask a running daemon to stop accepting new requests
@@ -384,74 +383,28 @@ def _cmd_cache_warm_pack(args: argparse.Namespace) -> int:
 # serve (daemon + management client)
 # ----------------------------------------------------------------------
 def _cmd_serve_start(args: argparse.Namespace) -> int:
-    import signal
-
-    from repro.obs import StructuredLogger
-    from repro.service import SolverService, serve_socket, serve_stdio
-    from repro.service.daemon import DEFAULT_WORKERS
-
-    if args.cache is None and (args.shards is not None
-                               or args.memory_tier is not None
-                               or args.preload_pack is not None):
-        raise ReproError(
-            "--shards/--memory-tier/--preload-pack require --cache")
-    logger = None if args.no_request_log else \
-        StructuredLogger(component="repro.serve")
-    if args.use_async:
-        return _serve_start_async(args, logger)
-    if args.http_port is not None:
-        raise ReproError("--http-port requires --async (the HTTP/"
-                         "WebSocket facade rides the async front end)")
-    if args.workers is None:
-        args.workers = DEFAULT_WORKERS
-    service = SolverService(workers=args.workers, store_path=args.cache,
-                            shards=args.shards,
-                            memory_tier=args.memory_tier,
-                            preload_pack=args.preload_pack,
-                            strategy=args.strategy, preload=args.preload,
-                            logger=logger,
-                            request_deadline_ms=args.request_deadline_ms)
-
-    def _graceful(signum, frame):  # noqa: ARG001 — signal signature
-        service.request_shutdown()
-        raise KeyboardInterrupt
-
-    previous = signal.signal(signal.SIGTERM, _graceful)
-    try:
-        with service:
-            if args.port is not None:
-                print(f"repro serve: listening on {args.host}:{args.port} "
-                      f"({args.workers} workers)", file=sys.stderr)
-                serve_socket(service, host=args.host, port=args.port)
-            else:
-                serve_stdio(service)
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-        report = service.stats()
-        engine = report["session"]["engine"]  # type: ignore[index]
-        svc = report["service"]  # type: ignore[index]
-        print(
-            f"repro serve: {svc['requests']} requests "
-            f"({svc['errors']} errors) in {svc['uptime_s']}s; "
-            f"memo hits {engine['hits']}+{engine['exists_hits']}, "
-            f"misses {engine['misses']}+{engine['exists_misses']}",
-            file=sys.stderr,
-        )
-    return 0
-
-
-def _serve_start_async(args: argparse.Namespace, logger) -> int:
-    """The ``serve start --async`` path: asyncio front end, per-tenant
-    sessions, priorities/backpressure, optional HTTP/WebSocket port."""
+    """The daemon: answers on stdio, or on TCP with ``--port`` (plus
+    the HTTP/WebSocket facade with ``--http-port``)."""
     import asyncio
     import signal
 
+    from repro.obs import StructuredLogger
     from repro.service import (
         AsyncSolverService,
         serve_async_stdio,
         serve_async_tcp,
     )
 
+    if args.cache is None and (args.shards is not None
+                               or args.memory_tier is not None
+                               or args.preload_pack is not None):
+        raise ReproError(
+            "--shards/--memory-tier/--preload-pack require --cache")
+    if args.http_port is not None and args.port is None:
+        raise ReproError("--http-port requires --port (the HTTP/WebSocket "
+                         "facade rides the TCP front end)")
+    logger = None if args.no_request_log else \
+        StructuredLogger(component="repro.serve")
     service = AsyncSolverService(
         workers=args.workers, max_queue=args.max_queue,
         store_path=args.cache, shards=args.shards,
@@ -775,16 +728,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="listen on TCP port N; omitted = stdio mode "
                             "(read requests from stdin, answer on stdout)")
     start.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="request-dispatch pool size: threads sharing "
-                            "one session (default: 4), or with --async "
-                            "worker processes holding the tenants' "
+                       help="worker processes holding the tenants' "
                             "sessions (default: the CPUs this process may "
                             "use)")
     start.add_argument("--cache", default=None, metavar="PATH",
-                       help="persistent hom-count store owned by the "
-                            "service session (a file = single SQLite "
-                            "store; a directory or --shards = sharded "
-                            "tiered store)")
+                       help="persistent hom-count store shared by every "
+                            "session (a file = single SQLite store; a "
+                            "directory or --shards = sharded tiered "
+                            "store)")
     start.add_argument("--shards", type=int, default=None, metavar="N",
                        help="partition a store created at --cache into N "
                             "hash-partitioned SQLite shards")
@@ -796,11 +747,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="warm-start pack (cache warm-pack) imported "
                             "into the store before serving")
     start.add_argument("--preload", type=int, default=2048, metavar="K",
-                       help="stored counts seeded into the warm memo at "
-                            "startup when --cache is given (default: 2048)")
+                       help="stored counts seeded into each new session's "
+                            "memo when --cache is given (default: 2048)")
     start.add_argument("--strategy", default="auto",
                        choices=["auto", "backtrack", "dp"],
-                       help="counting-backend override for the session")
+                       help="counting-backend override for the sessions")
     start.add_argument("--no-request-log", action="store_true",
                        help="disable the per-request structured JSON log "
                             "lines on stderr")
@@ -809,28 +760,25 @@ def build_parser() -> argparse.ArgumentParser:
                        help="default wall-clock budget per request; an "
                             "over-budget request is answered with a "
                             "structured budget-exceeded error instead of "
-                            "stalling the pool (requests may still set "
+                            "stalling its worker (requests may still set "
                             "their own deadline_ms)")
-    start.add_argument("--async", dest="use_async", action="store_true",
-                       help="run the asyncio front end: persistent-"
-                            "connection multiplexing, per-tenant "
-                            "sessions with quotas, request priorities, "
-                            "admission-control backpressure (DESIGN.md "
-                            "§16); same line protocol, byte-identical "
-                            "responses")
+    # Accepted and ignored: scripts written when this daemon was opt-in
+    # still pass it.
+    start.add_argument("--async", action="store_true",
+                       help=argparse.SUPPRESS)
     start.add_argument("--http-port", type=int, default=None, metavar="N",
-                       help="with --async: also serve the HTTP/WebSocket "
+                       help="with --port: also serve the HTTP/WebSocket "
                             "facade (GET /healthz, GET /metrics, POST "
                             "/task, GET /ws) on port N")
     start.add_argument("--max-queue", type=int, default=256, metavar="N",
-                       help="with --async: dispatch-queue bound; requests "
-                            "beyond it are answered with a structured "
-                            "overloaded record (default: 256)")
+                       help="dispatch-queue bound; requests beyond it are "
+                            "answered with a structured overloaded record "
+                            "(default: 256)")
     start.add_argument("--tenant-max-inflight", type=int, default=None,
                        metavar="N",
-                       help="with --async: default per-tenant in-flight "
-                            "admission quota (default: 8; tenants may "
-                            "override via the hello op)")
+                       help="default per-tenant in-flight admission quota "
+                            "(default: 8; tenants may override via the "
+                            "hello op)")
     start.set_defaults(handler=_cmd_serve_start)
 
     # Shared client context for the management verbs: every one of them
@@ -858,7 +806,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = serve_sub.add_parser(
         "stats", parents=[client_opts],
-        help="legacy nested statistics from a running daemon")
+        help="nested statistics from a running daemon")
     stats.set_defaults(handler=_cmd_serve_stats)
 
     metrics = serve_sub.add_parser(

@@ -11,8 +11,8 @@ A :class:`Budget` bounds one request two ways at once:
   same budget at the same step on every machine.
 
 The budget is installed around a request with :func:`use_budget`
-(thread-local, so the daemon's pool threads and batch workers never
-see each other's budgets) and the kernels fetch it once per count via
+(thread-local, so threads evaluating side by side never see each
+other's budgets) and the kernels fetch it once per count via
 :func:`active_budget`.  The kernels call :meth:`Budget.charge` every
 ``2^k`` iterations (1024 search nodes, 256 table entries) — one int
 test per iteration when a budget is active, a single ``is not None``

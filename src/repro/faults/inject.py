@@ -119,7 +119,7 @@ class FaultPlan:
     docstring); a plan-level ``"seed"`` key seeds the probability
     coins.  The spec round-trips (:meth:`to_spec`) so plans travel to
     worker processes and ``repro batch run --fault-plan`` files
-    unchanged.  Consults are thread-safe (the daemon's pool threads
+    unchanged.  Consults are thread-safe (the threads of one process
     share one plan).
     """
 

@@ -19,10 +19,9 @@ Three zero-dependency layers, all safe to leave enabled in production:
 The metric-name schema
 ----------------------
 Every metric name is dot-namespaced by the layer that owns it.  This
-is the documented schema that ``SolverSession.stats(flat=True)``,
-``SolverService.stats(flat=True)`` and the daemon's ``{"op":
-"metrics"}`` control op all return, and that future subsystems
-(async front end) emit into:
+is the documented schema that ``SolverSession.stats(flat=True)`` and
+the daemon's ``{"op": "metrics"}`` control op return (the daemon
+merges its workers' session, engine and store figures into it):
 
 ====================================  =========  ========================
 name                                  kind       meaning
@@ -70,7 +69,7 @@ name                                  kind       meaning
 ``service.request.latency_us``        histogram  request latency (log2)
 ``service.request.budget_exceeded``   counter    budget-limited requests
 ``service.uptime_s``                  gauge      daemon uptime
-``service.workers``                   gauge      dispatch pool size
+``service.workers``                   gauge      worker processes
 ``service.overloaded``                counter    requests shed (async)
 ``service.request.queued_us``         histogram  admission→dispatch wait
 ``service.queue.depth``               gauge      async dispatch queue depth

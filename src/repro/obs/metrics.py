@@ -27,7 +27,7 @@ Snapshot = Dict[str, object]
 # summing a size across workers is meaningless, the maximum is the
 # honest aggregate.
 GAUGE_SUFFIXES = (".cached", ".entries", ".compiled", ".peak_entries",
-                  ".uptime_s", ".workers", ".counts", ".exists")
+                  ".uptime_s", ".workers", ".counts", ".exists", ".shards")
 
 
 class Counter:
@@ -199,6 +199,18 @@ class MetricsRegistry:
                     report[f"{name}.bucket.{le}"] = value
             for collector, monotonic in registry._collectors:
                 if monotonic:
+                    report.update(collector())
+        return report
+
+    def gauges_snapshot(self) -> Dict[str, Number]:
+        """The rest of :meth:`snapshot` bar histograms: gauges and
+        non-monotonic collector entries, read now."""
+        report: Dict[str, Number] = {}
+        for registry in self._walk():
+            for name, gauge in registry._gauges.items():
+                report[name] = gauge.read()
+            for collector, monotonic in registry._collectors:
+                if not monotonic:
                     report.update(collector())
         return report
 

@@ -1,10 +1,8 @@
-"""The asyncio multi-tenant service front end (DESIGN.md §16).
+"""The daemon behind ``repro serve start`` (DESIGN.md §16).
 
-The threaded daemon (:mod:`repro.service.daemon`) is one session behind
-one engine lock behind one thread-per-connection TCP loop: every
-concurrent client queues on the same lock, and management clients dial
-a fresh connection per request.  This module rebuilds the front end on
-one event loop, with evaluation in worker processes:
+One event loop serves every connection (TCP, stdio and the HTTP/
+WebSocket facade) and evaluates nothing itself; evaluation runs in
+worker processes:
 
 * **Connection multiplexing** — ``asyncio`` streams hold thousands of
   persistent connections on one thread; no per-connection OS thread.
@@ -38,12 +36,14 @@ one event loop, with evaluation in worker processes:
   record; the requests behind it go to a fresh worker, which inherits
   the dead one's tenants (``service.worker.restarts``).
 
-Protocol compatibility: request lines are exactly the threaded
-daemon's — the batch task codec plus control ops — and responses for
-task lines are byte-identical (evaluation funnels through the same
-:func:`~repro.batch.runner.evaluate_envelope`).  A connection answers
+The protocol: request lines are the batch task codec
+(:mod:`repro.batch.tasks`) plus control lines, JSON objects carrying
+an ``"op"`` key (``ping``, ``stats``, ``metrics``, ``drain``,
+``shutdown``, ``hello``, ``batch``).  Task answers are byte-identical
+to batch mode, because evaluation funnels through the same
+:func:`~repro.batch.runner.evaluate_envelope`.  A connection answers
 in request order by default, so piping a scenario file through the
-async stdio front end stays byte-identical to ``repro batch run
+stdio front end stays byte-identical to ``repro batch run
 --workers 1``.  ``{"op": "hello", "mode": "multiplex"}`` switches a
 connection to completion-order responses, where each request may carry
 a ``"rid"`` echo field for client-side correlation (``rid`` is
@@ -89,7 +89,6 @@ from repro.faults.inject import current_fault_plan, should_inject
 from repro.obs.logs import StructuredLogger, new_request_id
 from repro.obs.metrics import MetricsRegistry, merge_counter_snapshots
 from repro.obs.trace import collect_phases
-from repro.service.daemon import ServiceStats
 from repro.service.tenant import (
     LockedStore,
     Tenant,
@@ -99,8 +98,8 @@ from repro.service.tenant import (
 from repro.session import SolverSession
 
 DEFAULT_MAX_QUEUE = 256
-ASYNC_CONTROL_OPS = ("ping", "stats", "metrics", "drain", "shutdown",
-                     "hello", "batch")
+CONTROL_OPS = ("ping", "stats", "metrics", "drain", "shutdown", "hello",
+               "batch")
 
 #: Exit status of a worker killed by the ``serve.worker`` fault point.
 _FAULT_EXIT = 87
@@ -119,6 +118,74 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without affinity masks
         return os.cpu_count() or 1
+
+
+class ServiceStats:
+    """Request accounting for one service lifetime, registry-homed.
+
+    Every number lives in a :class:`~repro.obs.metrics.MetricsRegistry`
+    under the ``service.*`` names of the documented schema
+    (:mod:`repro.obs`); :meth:`snapshot` renders the nested
+    ``{"op": "stats"}`` shape from those same metrics.  Request latency
+    goes into a log2-bucketed histogram in microseconds — the buckets
+    the ``metrics`` control op and the Prometheus exposition serve.
+    """
+
+    __slots__ = ("metrics", "_requests", "_errors", "_control",
+                 "_latency", "_budget_exceeded", "_kinds")
+
+    def __init__(self, metrics: Optional[MetricsRegistry] = None):
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._requests = self.metrics.counter("service.requests")
+        self._errors = self.metrics.counter("service.errors")
+        self._control = self.metrics.counter("service.control_requests")
+        self._latency = self.metrics.histogram("service.request.latency_us")
+        self._budget_exceeded = self.metrics.counter(
+            "service.request.budget_exceeded")
+        self._kinds: Dict[str, object] = {}
+
+    @property
+    def requests(self) -> int:
+        return self._requests.value
+
+    @property
+    def errors(self) -> int:
+        return self._errors.value
+
+    @property
+    def control_requests(self) -> int:
+        return self._control.value
+
+    def record_control(self) -> None:
+        self._control.value += 1
+
+    def record(self, kind: Optional[str], ok: bool, elapsed: float,
+               budget_exceeded: bool = False) -> None:
+        self._requests.value += 1
+        if not ok:
+            self._errors.value += 1
+        if budget_exceeded:
+            self._budget_exceeded.value += 1
+        self._latency.observe(elapsed * 1e6)
+        label = kind or "invalid"
+        counter = self._kinds.get(label)
+        if counter is None:
+            counter = self.metrics.counter(f"service.requests.kind.{label}")
+            self._kinds[label] = counter
+        counter.value += 1
+
+    def snapshot(self) -> Dict[str, object]:
+        count = self._latency.count
+        mean = (self._latency.sum / 1e6 / count) if count else 0.0
+        return {
+            "requests": self.requests,
+            "errors": self.errors,
+            "control_requests": self.control_requests,
+            "budget_exceeded": self._budget_exceeded.value,
+            "mean_latency_ms": round(mean * 1000.0, 3),
+            "kinds": {label: counter.value
+                      for label, counter in sorted(self._kinds.items())},
+        }
 
 
 # ----------------------------------------------------------------------
@@ -166,6 +233,9 @@ class _WorkerState:
             else:
                 envelope = evaluate_envelope(line, session)
         except Exception as exc:  # noqa: BLE001 — the worker keeps serving
+            # Charged to the session too, so service and session
+            # accounting stay in step on error streams.
+            session.record_task(ok=False)
             envelope = {"id": None, "kind": None, "ok": False,
                         "error": f"InternalError: {type(exc).__name__}: "
                                  f"{exc}"}
@@ -186,14 +256,24 @@ class _WorkerState:
             session.close()
             merge_counter_snapshots(self.retired, _scoped(session))
 
-    def report(self) -> Dict[str, object]:
+    def report(self, gauges: bool = False) -> Dict[str, object]:
         # Every name once (the shared session's own engine and session
         # counters stay 0), then each session's share on top.
         counters = self.shared.metrics.counters_snapshot()
         merge_counter_snapshots(counters, self.retired)
         for session in self.sessions.values():
             merge_counter_snapshots(counters, _scoped(session))
-        return {"sessions": sorted(self.sessions), "counters": counters}
+        report = {"sessions": sorted(self.sessions), "counters": counters}
+        if gauges:
+            # Row counts cost SQL: only stats and metrics ops read them,
+            # through the shared session alone; each session adds its
+            # engine's memo and compiled-target sizes.
+            merged = self.shared.metrics.gauges_snapshot()
+            for session in self.sessions.values():
+                merge_counter_snapshots(
+                    merged, session.engine.metrics.gauges_snapshot())
+            report["gauges"] = merged
+        return report
 
     def close(self) -> None:
         for session in self.sessions.values():
@@ -235,7 +315,7 @@ def _worker_main(channel: socket.socket, config: tuple) -> None:
                 state.drop(message[1])
                 continue
             elif op == "stats":
-                reply = ("stats", state.report())
+                reply = ("stats", state.report(gauges=True))
             else:  # "stop"
                 if state.store is not None:
                     state.store.flush()
@@ -259,7 +339,7 @@ class _Slot:
     """
 
     __slots__ = ("index", "queue", "process", "channel", "inbox", "outbox",
-                 "held", "sessions", "waiters", "counters", "live")
+                 "held", "sessions", "waiters", "counters", "gauges", "live")
 
     def __init__(self, index: int):
         self.index = index
@@ -276,8 +356,10 @@ class _Slot:
         self.sessions: set = set()
         # Futures of stats/stop requests, in the order they were sent.
         self.waiters: deque = deque()
-        # The worker's last reported counters and live sessions.
+        # The worker's last reported counters, gauges and live
+        # sessions.
         self.counters: Dict[str, Number] = {}
+        self.gauges: Dict[str, Number] = {}
         self.live: List[str] = []
 
     def report(self) -> Dict[str, object]:
@@ -385,9 +467,11 @@ class AsyncSolverService:
         self.metrics.gauge(
             "service.uptime_s",
             lambda: round(time.monotonic() - self.started_at, 3))
-        # Session, engine and store counters, merged across workers.
+        # Session, engine and store figures, merged across workers.
         self.metrics.register_collector(self.worker_counters,
                                         monotonic=True)
+        self.metrics.register_collector(self.worker_gauges,
+                                        monotonic=False)
 
         self._slots = [_Slot(index) for index in range(self.workers)]
         # Final (or last known) counters of workers that have exited.
@@ -493,6 +577,7 @@ class AsyncSolverService:
         slot.outbox = bytearray()
         slot.sessions = set()
         slot.counters = {}
+        slot.gauges = {}
         slot.live = []
         for waiter in slot.waiters:
             if not waiter.done():
@@ -554,6 +639,7 @@ class AsyncSolverService:
             return
         report = message[1]
         slot.counters = report["counters"]
+        slot.gauges = report.get("gauges", {})
         slot.live = report["sessions"]
         waiter = slot.waiters.popleft()
         if not waiter.done():
@@ -709,8 +795,19 @@ class AsyncSolverService:
             merge_counter_snapshots(merged, slot.counters)
         return merged
 
+    def worker_gauges(self) -> Dict[str, Number]:
+        """The gauges (memo and compiled-target sizes, store row
+        counts, tier size, shard count) the live workers reported at
+        the last :meth:`refresh`; every name has a gauge suffix, so the
+        merge keeps the largest."""
+        merged: Dict[str, Number] = {}
+        for slot in self._slots:
+            merge_counter_snapshots(merged, slot.gauges)
+        return merged
+
     async def refresh(self) -> None:
-        """Fetch every live worker's counters and session list."""
+        """Fetch every live worker's counters, gauges and session
+        list."""
         await asyncio.gather(*[self._request(slot, ("stats",))
                                for slot in self._slots
                                if slot.process is not None])
@@ -726,7 +823,9 @@ class AsyncSolverService:
         service["inflight"] = self.tenants.total_inflight()
         service["overloaded"] = self._m_overloaded.value
         service["draining"] = self._draining
-        return {"service": service, "session": self.worker_counters(),
+        session = self.worker_counters()
+        session.update(self.worker_gauges())
+        return {"service": service, "session": session,
                 "tenants": self.tenants.stats(),
                 "workers": [slot.report() for slot in self._slots]}
 
@@ -771,7 +870,7 @@ class AsyncSolverService:
         return _reply({
             "ok": False, "op": str(op),
             "error": f"unknown control op {op!r}; "
-                     f"expected one of {list(ASYNC_CONTROL_OPS)}"})
+                     f"expected one of {list(CONTROL_OPS)}"})
 
 
 def parse_control(line: str) -> Optional[dict]:
@@ -1139,15 +1238,16 @@ async def serve_async_stdio(service: AsyncSolverService,
                             source: Optional[Iterable[str]] = None,
                             sink: Optional[IO[str]] = None) -> int:
     """Answer a JSONL stream on the default tenant, responses in
-    request order — byte-identical to the threaded stdio front end
-    (and therefore to ``repro batch run --workers 1``).
+    request order — byte-identical to ``repro batch run --workers 1``.
 
-    Reading happens on the loop's default thread executor (blocking
-    file I/O, not evaluation) so the event loop keeps dispatching
-    while a slow producer trickles lines in; the bounded
-    dispatch queue plus the default tenant's in-flight window is the
-    backpressure (the reader stalls in :meth:`_reader_gate` rather
-    than buffering without limit).  Returns response lines written.
+    Reading and writing happen on the loop's default thread executor
+    (blocking file I/O, not evaluation) so the event loop keeps
+    dispatching while a slow producer trickles lines in.  The reader
+    waits for room in the default tenant's in-flight window and in
+    the dispatch queue, and the answers not yet written are bounded by
+    that window too: a consumer that stops reading stalls the reader
+    instead of letting it buffer the whole stream.  Returns response
+    lines written.
     """
     if source is None:
         # Read fd 0 through a file object of its own.  The reader thread
@@ -1162,7 +1262,11 @@ async def serve_async_stdio(service: AsyncSolverService,
     sink = sys.stdout if sink is None else sink
     iterator = iter(source)
     tenant = service.default_tenant
-    pending: "asyncio.Queue" = asyncio.Queue()
+    # A tenant's in-flight slot frees when its job finishes, not when
+    # its answer is written, so only this bound holds the reader back
+    # from a stalled sink.
+    pending: "asyncio.Queue" = asyncio.Queue(
+        maxsize=tenant.quota.max_inflight)
 
     def _next_line() -> Optional[str]:
         try:
@@ -1181,6 +1285,14 @@ async def serve_async_stdio(service: AsyncSolverService,
             count += 1
 
     writer_task = asyncio.ensure_future(_write_all())
+
+    async def _queue_answer(item) -> None:
+        while pending.full():
+            if writer_task.done():
+                writer_task.result()  # the sink failed: raise its error
+            await asyncio.sleep(0.001)
+        pending.put_nowait(item)
+
     while True:
         line = await loop.run_in_executor(None, _next_line)
         if line is None:
@@ -1190,7 +1302,7 @@ async def serve_async_stdio(service: AsyncSolverService,
         control = parse_control(line)
         if control is not None:
             op = control.get("op")
-            pending.put_nowait(service.control_record(control))
+            await _queue_answer(service.control_record(control))
             if op in ("drain", "shutdown"):
                 break
             continue
@@ -1202,8 +1314,8 @@ async def serve_async_stdio(service: AsyncSolverService,
                 or service.queue_depth() >= service.max_queue:
             await asyncio.sleep(0.001)
         eval_line, rid = strip_rid(line)
-        pending.put_nowait(service.submit(tenant, eval_line, rid=rid))
-    pending.put_nowait(None)
+        await _queue_answer(service.submit(tenant, eval_line, rid=rid))
+    await _queue_answer(None)
     return await writer_task
 
 

@@ -7,17 +7,15 @@ throughput and tail latency (p50/p99) reported — not a single-threaded
 stopwatch.  This module is that harness; it backs ``repro serve load``,
 ``scripts/load_gen.py`` and the ``service_concurrency`` bench workload.
 
-Three transports, matching the deployment modes under comparison:
+Three transports:
 
-* ``per-request`` — dial a fresh TCP connection per request: the
-  legacy :class:`~repro.service.client.DaemonClient` behaviour whose
-  overhead this PR's async front end removes.  Works against both the
-  threaded and the async daemon.
+* ``per-request`` — dial a fresh TCP connection per request
+  (:class:`~repro.service.client.DaemonClient` with
+  ``persistent=False``), so every request pays a connection setup.
 * ``persistent`` — one TCP connection per client, reused for every
-  request (the async daemon's intended mode; also works against the
-  threaded daemon, whose handler loops over lines).
-* ``ws`` — one WebSocket connection per client against the async
-  daemon's HTTP facade, exercising the browser-client path.
+  request: the daemon's intended mode.
+* ``ws`` — one WebSocket connection per client against the daemon's
+  HTTP facade, exercising the browser-client path.
 
 Clients run on plain threads (the generator must not share an event
 loop with the daemon under test), synchronize on a barrier so the

@@ -1,9 +1,8 @@
-"""Per-connection tenancy for the async service front end.
+"""Per-connection tenancy for the daemon (DESIGN.md §16).
 
-The threaded daemon (DESIGN.md §10) serves every client from *one*
-resident session behind one engine lock: correct, but a single hot
-tenant convoys everyone else, and there is no way to give two clients
-different strategies, budgets or memo bounds.  The async front end
+One session shared by every client would let a single hot tenant
+convoy everyone else, and could not give two clients different
+strategies, budgets or memo bounds.  The daemon
 (:mod:`repro.service.async_daemon`) instead gives each connection — or
 each named tenant across connections — its own :class:`Tenant`:
 

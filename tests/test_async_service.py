@@ -594,32 +594,6 @@ class TestPersistentClient:
             assert client.ping()["ok"]
             assert client.connects == 2
 
-    def test_client_against_threaded_daemon(self):
-        # The persistent client speaks to the threaded daemon too:
-        # its handler loops over lines on one connection.
-        from repro.service import SolverService, serve_socket
-
-        service = SolverService(workers=1)
-        ready = threading.Event()
-        bound = []
-        thread = threading.Thread(
-            target=serve_socket, args=(service,),
-            kwargs={"port": 0, "ready": ready, "bound": bound},
-            daemon=True)
-        thread.start()
-        assert ready.wait(timeout=10)
-        host, port = bound[0]
-        client = DaemonClient(host=host, port=port)
-        try:
-            assert client.ping()["ok"]
-            assert client.stats()["ok"]
-            assert client.connects == 1
-        finally:
-            client.shutdown()
-            client.close()
-            thread.join(timeout=10)
-            service.close()
-
 
 # ----------------------------------------------------------------------
 # Load generator

@@ -1,22 +1,30 @@
-"""The resident request service: protocol, parity, isolation, shutdown.
+"""The request service: protocol, parity, isolation, shutdown.
 
-The headline contract (ISSUE 4 acceptance): a warm ``repro serve``
-session answers a 200-task mixed JSONL stream **byte-identical** to
-``repro batch run --workers 1``, with cross-request memo hits > 0.
+The headline contract: a ``repro serve`` daemon answers a 200-task
+mixed JSONL stream **byte-identical** to ``repro batch run --workers
+1``, with cross-request memo hits > 0.
 """
 
 from __future__ import annotations
 
+import asyncio
 import io
 import json
+import multiprocessing
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+import repro
+import repro.service.async_daemon as async_daemon
 from repro.batch.runner import iter_results
 from repro.batch.scenarios import generate_scenario
+from repro.batch.store import open_store
 from repro.batch.tasks import (
     BatchCodecError,
     canonical_json,
@@ -25,9 +33,22 @@ from repro.batch.tasks import (
 )
 from repro.errors import ReproError
 from repro.obs import StructuredLogger
-from repro.service import DaemonClient, SolverService, serve_socket, serve_stdio
+from repro.service import (
+    AsyncDaemonHandle,
+    AsyncSolverService,
+    DaemonClient,
+    TenantQuota,
+    serve_async_stdio,
+)
+from repro.service.async_daemon import parse_control
 from repro.session import SolverSession
 from repro.structures.generators import clique_structure, path_structure
+
+
+@pytest.fixture(autouse=True)
+def _no_worker_outlives_its_daemon():
+    yield
+    assert multiprocessing.active_children() == []
 
 
 def _stream(kind: str, count: int, seed: int):
@@ -35,11 +56,54 @@ def _stream(kind: str, count: int, seed: int):
             for record in generate_scenario(kind, count, seed=seed)]
 
 
-def _serve_lines(service: SolverService, lines) -> list:
+def _serve(source, sink, **service_kwargs):
+    """Answer ``source`` on the stdio front end into ``sink``;
+    ``(lines written, service)``, the service closed so its worker
+    counters are final."""
+    async def main():
+        service = AsyncSolverService(**service_kwargs)
+        try:
+            written = await serve_async_stdio(service, source=source,
+                                              sink=sink)
+        finally:
+            await service.aclose()
+        return written, service
+
+    return asyncio.run(main())
+
+
+def _serve_lines(lines, **service_kwargs):
+    """``(response lines, closed service)`` for a list of lines."""
     sink = io.StringIO()
-    serve_stdio(service, source=iter(line + "\n" for line in lines),
-                sink=sink)
-    return sink.getvalue().splitlines()
+    _, service = _serve(iter(line + "\n" for line in lines), sink,
+                        **service_kwargs)
+    return sink.getvalue().splitlines(), service
+
+
+def _with_service(body, **service_kwargs):
+    """``await body(service)`` against a started in-process service."""
+    async def main():
+        service = AsyncSolverService(**service_kwargs)
+        await service.start()
+        try:
+            return await body(service)
+        finally:
+            await service.aclose()
+
+    return asyncio.run(main())
+
+
+async def _answer_all(service, lines) -> list:
+    """Each line's answer on the default tenant, one at a time."""
+    return [await service.submit(service.default_tenant, line)
+            for line in lines]
+
+
+async def _control(service, record: dict) -> dict:
+    answer = service.control_record(record)
+    if not isinstance(answer, str):
+        answer = await answer
+    return json.loads(answer)
 
 
 # ----------------------------------------------------------------------
@@ -49,28 +113,26 @@ class TestBatchParity:
     def test_200_task_mixed_stream_matches_batch_run(self):
         lines = _stream("mixed", 200, seed=11)
         batch = list(iter_results(lines, workers=1))
-        with SolverService(workers=2) as service:
-            served = _serve_lines(service, lines)
-            report = service.stats()
+        served, service = _serve_lines(lines, workers=2)
+        report = service.stats()
         assert served == batch  # byte-for-byte
 
-        engine = report["session"]["engine"]
+        session = report["session"]
         # Cross-request reuse is the point of residency: the warm memo
         # answered some probes without recomputation.
-        assert engine["hits"] + engine["exists_hits"] > 0
+        assert session["engine.memo.hits"] + session["engine.exists.hits"] > 0
         assert report["service"]["requests"] == 200
         assert report["service"]["errors"] == 0
-        assert report["session"]["tasks_evaluated"] == 200
+        assert session["session.tasks.evaluated"] == 200
 
     def test_hom_scenario_matches_batch_run(self):
         lines = _stream("hom", 16, seed=5)
         batch = list(iter_results(lines, workers=1))
-        with SolverService() as service:
-            assert _serve_lines(service, lines) == batch
+        assert _serve_lines(lines, workers=1)[0] == batch
 
     def test_iter_results_accepts_resident_session(self):
-        """The service's inline-evaluation path: iter_results under a
-        caller-owned session keeps the memo warm across streams."""
+        """Inline evaluation under a caller-owned session keeps the
+        memo warm across streams."""
         lines = _stream("hom", 8, seed=9)
         session = SolverSession()
         first = list(iter_results(lines, workers=1, session=session))
@@ -107,12 +169,10 @@ class TestHomCountKind:
         assert task.source == source
         assert task.target == target
 
-        session = SolverSession()
-        with SolverService(session=session) as service:
-            [line] = _serve_lines(service, [canonical_json(record)])
+        [line], _ = _serve_lines([canonical_json(record)], workers=1)
         payload = json.loads(line)
         assert payload["ok"] is True
-        assert int(payload["count"]) == session.count(source, target)
+        assert int(payload["count"]) == SolverSession().count(source, target)
 
     def test_bad_payload_rejected(self):
         with pytest.raises(BatchCodecError, match="source"):
@@ -132,43 +192,47 @@ class TestHomCountKind:
 # ----------------------------------------------------------------------
 class TestControlOps:
     def test_ping(self):
-        with SolverService() as service:
-            assert json.loads(service.handle_line('{"op": "ping"}')) == \
-                {"ok": True, "op": "ping"}
+        async def body(service):
+            return await _control(service, {"op": "ping"})
+
+        assert _with_service(body, workers=1) == {"ok": True, "op": "ping"}
 
     def test_stats_reports_service_and_session(self):
         lines = _stream("hom", 4, seed=2)
-        with SolverService() as service:
-            _serve_lines(service, lines)
-            payload = json.loads(service.handle_line('{"op": "stats"}'))
+
+        async def body(service):
+            await _answer_all(service, lines)
+            return await _control(service, {"op": "stats"})
+
+        payload = _with_service(body, workers=1)
         assert payload["ok"] is True
         stats = payload["stats"]
         assert stats["service"]["requests"] == 4
         assert stats["service"]["kinds"] == {"hom-count": 4}
-        assert "hits" in stats["session"]["engine"]
+        assert "engine.memo.hits" in stats["session"]
         assert stats["service"]["mean_latency_ms"] >= 0.0
 
     def test_unknown_op_is_an_error_response(self):
-        with SolverService() as service:
-            payload = json.loads(service.handle_line('{"op": "dance"}'))
+        async def body(service):
+            return await _control(service, {"op": "dance"})
+
+        payload = _with_service(body, workers=1)
         assert payload["ok"] is False
         assert "dance" in payload["error"]
 
     def test_shutdown_stops_the_stream(self):
         lines = _stream("hom", 2, seed=3)
         source = [lines[0], '{"op": "shutdown"}', lines[1]]
-        with SolverService() as service:
-            responses = _serve_lines(service, source)
-            assert service.shutting_down
+        responses, service = _serve_lines(source, workers=1)
+        assert service.draining
         assert len(responses) == 2  # task result + shutdown ack, no more
         assert json.loads(responses[0])["kind"] == "hom-count"
         assert json.loads(responses[1]) == {"ok": True, "op": "shutdown"}
 
     def test_control_lines_are_not_tasks(self):
-        with SolverService() as service:
-            assert service.control_response("not json at all") is None
-            assert service.control_response('{"kind": "hom-count"}') is None
-            assert service.control_response('{"op": "ping"}') is not None
+        assert parse_control("not json at all") is None
+        assert parse_control('{"kind": "hom-count"}') is None
+        assert parse_control('{"op": "ping"}') == {"op": "ping"}
 
 
 # ----------------------------------------------------------------------
@@ -182,9 +246,8 @@ class TestErrorIsolation:
                   lines[0],
                   '{"id": "", "kind": "hom-count"}',
                   lines[1]]
-        with SolverService() as service:
-            responses = _serve_lines(service, source)
-            report = service.stats()
+        responses, service = _serve_lines(source, workers=1)
+        report = service.stats()
         assert len(responses) == 5
         verdicts = [json.loads(r)["ok"] for r in responses]
         assert verdicts == [False, False, True, False, True]
@@ -192,37 +255,26 @@ class TestErrorIsolation:
         assert report["service"]["requests"] == 5
 
     def test_unexpected_exception_becomes_internal_error(self, monkeypatch):
-        import repro.service.daemon as daemon
-
         def boom(line, context):
             raise ValueError("wired to fail")
 
-        monkeypatch.setattr(daemon, "evaluate_envelope", boom)
-        with SolverService() as service:
-            payload = json.loads(service.evaluate('{"x": 1}'))
-            report = service.stats()
+        # Patched before the workers fork, so they evaluate with it.
+        monkeypatch.setattr(async_daemon, "evaluate_envelope", boom)
+        [line], service = _serve_lines(['{"x": 1}'], workers=1)
+        report = service.stats()
+        payload = json.loads(line)
         assert payload["ok"] is False
         assert payload["error"].startswith("InternalError")
         assert report["service"]["errors"] == 1
         # service and session accounting stay in step on error streams
-        assert report["session"]["tasks_evaluated"] == 1
-        assert report["session"]["task_errors"] == 1
-
-    def test_adopted_session_refuses_reconfiguration(self):
-        from repro.errors import ReproError
-
-        with pytest.raises(ReproError, match="adopt"):
-            SolverService(session=SolverSession(), store_path="x.sqlite")
-        with pytest.raises(ReproError, match="adopt"):
-            SolverService(session=SolverSession(), strategy="dp")
+        assert report["service"]["requests"] == \
+            report["session"]["session.tasks.evaluated"] == 1
+        assert report["session"]["session.tasks.errors"] == 1
 
     def test_interactive_client_gets_response_before_next_request(self):
         """Request/response over a live pipe: the answer to request N
         must be flushed before the client sends request N+1 (the writer
-        thread emits each response as it resolves — no batching until
-        EOF)."""
-        import time
-
+        emits each response as it resolves — no batching until EOF)."""
         lines = _stream("hom", 2, seed=21)
         sink = io.StringIO()
         got_first = threading.Event()
@@ -237,37 +289,37 @@ class TestErrorIsolation:
                 time.sleep(0.005)
             yield lines[1] + "\n"
 
-        with SolverService(workers=2) as service:
-            serve_stdio(service, source=interactive_source(), sink=sink)
+        _serve(interactive_source(), sink, workers=2)
         assert got_first.is_set()
         assert len(sink.getvalue().splitlines()) == 2
 
     def test_ordering_preserved_with_concurrent_workers(self):
         lines = _stream("mixed", 40, seed=13)
         expected = list(iter_results(lines, workers=1))
-        with SolverService(workers=4) as service:
-            assert _serve_lines(service, lines) == expected
+        assert _serve_lines(lines, workers=4)[0] == expected
 
 
 class TestPersistentStore:
     def test_store_survives_across_service_lifetimes(self, tmp_path):
-        """Pool worker threads share the session's SQLite handle (the
-        engine lock serializes access); a second daemon over the same
-        store answers the whole stream from the preloaded warm memo."""
+        """Each worker opens the store and flushes it when it stops; a
+        second daemon over the same store answers the whole stream from
+        the preloaded warm memo."""
         path = str(tmp_path / "serve.sqlite")
         lines = _stream("hom", 12, seed=3)
-        with SolverService(workers=4, store_path=path) as first:
-            cold = _serve_lines(first, lines)
-            assert first.stats()["service"]["errors"] == 0
-        with SolverService(workers=4, store_path=path,
-                           preload=2048) as second:
-            warm = _serve_lines(second, lines)
-            report = second.stats()
+        cold, first = _serve_lines(lines, workers=2, store_path=path)
+        assert first.stats()["service"]["errors"] == 0
+
+        async def body(service):
+            warm = await _answer_all(service, lines)
+            return warm, (await _control(service, {"op": "stats"}))["stats"]
+
+        warm, report = _with_service(body, workers=2, store_path=path,
+                                     preload=2048)
         assert warm == cold
-        engine = report["session"]["engine"]
-        assert engine["misses"] == 0  # everything came pre-warmed
-        assert engine["hits"] > 0
-        assert report["session"]["store"]["counts"] >= 1
+        session = report["session"]
+        assert session["engine.memo.misses"] == 0  # everything pre-warmed
+        assert session["engine.memo.hits"] > 0
+        assert session["store.counts"] >= 1
 
 
 # ----------------------------------------------------------------------
@@ -275,34 +327,26 @@ class TestPersistentStore:
 # ----------------------------------------------------------------------
 class TestSocketMode:
     def test_tcp_round_trip_and_shutdown(self):
-        service = SolverService(workers=2)
-        ready = threading.Event()
-        bound: list = []
-        thread = threading.Thread(
-            target=serve_socket, args=(service,),
-            kwargs={"port": 0, "ready": ready, "bound": bound}, daemon=True)
-        thread.start()
-        assert ready.wait(10)
-        host, port = bound[0]
-
         task = canonical_json(make_hom_count_task(
             "tcp-1", path_structure(["R"]), clique_structure(3)))
-        with socket.create_connection((host, port), timeout=10) as conn:
-            wire = conn.makefile("rw", encoding="utf-8")
-            wire.write(task + "\n")
-            wire.flush()
-            answer = json.loads(wire.readline())
-            assert answer["ok"] is True and answer["count"] == "6"
-            wire.write('{"op": "stats"}\n')
-            wire.flush()
-            stats = json.loads(wire.readline())
-            assert stats["stats"]["service"]["requests"] == 1
-            wire.write('{"op": "shutdown"}\n')
-            wire.flush()
-            assert json.loads(wire.readline())["op"] == "shutdown"
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-        service.close()
+        with AsyncDaemonHandle(workers=2) as handle:
+            with socket.create_connection(handle.address,
+                                          timeout=10) as conn, \
+                    conn.makefile("rw", encoding="utf-8") as wire:
+                wire.write(task + "\n")
+                wire.flush()
+                answer = json.loads(wire.readline())
+                assert answer["ok"] is True and answer["count"] == "6"
+                wire.write('{"op": "stats"}\n')
+                wire.flush()
+                stats = json.loads(wire.readline())
+                assert stats["stats"]["service"]["requests"] == 1
+                wire.write('{"op": "shutdown"}\n')
+                wire.flush()
+                assert json.loads(wire.readline())["op"] == "shutdown"
+            # The shutdown op alone stops the daemon.
+            handle._thread.join(timeout=10)
+            assert not handle._thread.is_alive()
 
 
 # ----------------------------------------------------------------------
@@ -310,11 +354,13 @@ class TestSocketMode:
 # ----------------------------------------------------------------------
 class TestMetricsOp:
     def test_metrics_snapshot_schema(self):
-        with SolverService(workers=1) as service:
-            for line in _stream("hom", 3, seed=2):
-                service.evaluate(line)
-            response = json.loads(
-                service.control_response('{"op": "metrics"}'))
+        lines = _stream("hom", 3, seed=2)
+
+        async def body(service):
+            await _answer_all(service, lines)
+            return await _control(service, {"op": "metrics"})
+
+        response = _with_service(body, workers=1)
         assert response["ok"] is True and response["op"] == "metrics"
         metrics = response["metrics"]
         # The documented namespaced schema, across every layer.
@@ -335,10 +381,14 @@ class TestMetricsOp:
         assert all(le == str(int(le)) for le in latency["buckets"])
 
     def test_metrics_prometheus_exposition(self):
-        with SolverService(workers=1) as service:
-            service.evaluate(_stream("hom", 1, seed=2)[0])
-            response = json.loads(service.control_response(
-                '{"op": "metrics", "format": "prometheus"}'))
+        line = _stream("hom", 1, seed=2)[0]
+
+        async def body(service):
+            await _answer_all(service, [line])
+            return await _control(service, {"op": "metrics",
+                                            "format": "prometheus"})
+
+        response = _with_service(body, workers=1)
         assert response["format"] == "prometheus"
         text = response["exposition"]
         assert "# TYPE service_requests counter" in text
@@ -347,30 +397,63 @@ class TestMetricsOp:
         assert 'service_request_latency_us_bucket{le="+Inf"} 1' in text
 
     def test_flat_stats_is_the_metrics_view(self):
-        with SolverService(workers=1) as service:
-            service.evaluate(_stream("hom", 1, seed=2)[0])
-            flat = service.stats(flat=True)
-            nested = service.stats()
+        line = _stream("hom", 1, seed=2)[0]
+
+        async def body(service):
+            await _answer_all(service, [line])
+            flat = (await _control(service, {"op": "metrics"}))["metrics"]
+            nested = (await _control(service, {"op": "stats"}))["stats"]
+            return flat, nested
+
+        flat, nested = _with_service(body, workers=1)
         assert flat["service.requests"] == \
             nested["service"]["requests"] == 1
         assert flat["engine.memo.hits"] == \
-            nested["session"]["engine"]["hits"]
+            nested["session"]["engine.memo.hits"]
+
+    def test_store_gauges_are_not_summed_over_workers(self, tmp_path):
+        path = str(tmp_path / "store")
+        _serve_lines(_stream("hom", 8, seed=4), workers=1,
+                     store_path=path, shards=4)
+        store = open_store(path)
+        try:
+            rows = store.stats()["counts"]
+        finally:
+            store.close()
+        assert rows > 0
+
+        async def body(service):
+            return (
+                (await _control(service, {"op": "metrics"}))["metrics"],
+                (await _control(service, {"op": "metrics",
+                                          "format": "prometheus"}))
+                ["exposition"])
+
+        # Both workers open the store and report its gauges: a sum
+        # would read 8 shards and twice the rows.
+        metrics, text = _with_service(body, workers=2, store_path=path)
+        assert metrics["store.shards"] == 4
+        assert metrics["store.counts"] == rows
+        assert "store.exists" in metrics
+        assert "store.tier.entries" in metrics
+        assert "# TYPE store_shards gauge" in text
 
     def test_drain_op_flips_shutdown(self):
-        with SolverService(workers=1) as service:
-            response = json.loads(
-                service.control_response('{"op": "drain"}'))
-            assert response == {"draining": True, "ok": True, "op": "drain"}
-            assert service.shutting_down
+        async def body(service):
+            response = await _control(service, {"op": "drain"})
+            return response, service.draining
+
+        response, draining = _with_service(body, workers=1)
+        assert response == {"draining": True, "ok": True, "op": "drain"}
+        assert draining
 
 
 class TestRequestLog:
     def test_log_lines_carry_request_ids_and_phases(self):
         sink = io.StringIO()
         logger = StructuredLogger(stream=sink, component="repro.serve")
-        with SolverService(workers=1, logger=logger) as service:
-            out = [service.evaluate(line)
-                   for line in _stream("hom", 2, seed=3)]
+        out, _ = _serve_lines(_stream("hom", 2, seed=3), workers=1,
+                              logger=logger)
         # Protocol output never gains log lines (byte-parity).
         assert all(json.loads(line)["ok"] for line in out)
         records = [json.loads(line)
@@ -387,8 +470,7 @@ class TestRequestLog:
             assert "parse" in record["phases"]
 
     def test_no_logger_means_no_log_lines(self, capsys):
-        with SolverService(workers=1) as service:
-            service.evaluate(_stream("hom", 1, seed=3)[0])
+        _serve_lines(_stream("hom", 1, seed=3), workers=1)
         assert capsys.readouterr().err == ""
 
 
@@ -397,40 +479,35 @@ class TestRequestLog:
 # ----------------------------------------------------------------------
 class TestDaemonClient:
     def test_tcp_round_trips_and_drain(self):
-        service = SolverService(workers=2)
-        ready = threading.Event()
-        bound: list = []
-        thread = threading.Thread(
-            target=serve_socket, args=(service,),
-            kwargs={"port": 0, "ready": ready, "bound": bound}, daemon=True)
-        thread.start()
-        assert ready.wait(10)
-        host, port = bound[0]
-        client = DaemonClient(host=host, port=port, timeout=10)
+        with AsyncDaemonHandle(workers=2) as handle:
+            host, port = handle.address
+            client = DaemonClient(host=host, port=port, timeout=10)
+            try:
+                assert client.ping() == {"ok": True, "op": "ping"}
 
-        assert client.ping() == {"ok": True, "op": "ping"}
+                task = canonical_json(make_hom_count_task(
+                    "client-1", path_structure(["R"]), clique_structure(3)))
+                answer = client.request_line(task)
+                assert answer["ok"] is True and answer["count"] == "6"
 
-        task = canonical_json(make_hom_count_task(
-            "client-1", path_structure(["R"]), clique_structure(3)))
-        answer = client.request_line(task)
-        assert answer["ok"] is True and answer["count"] == "6"
+                stats = client.stats()
+                assert stats["stats"]["service"]["requests"] == 1
 
-        stats = client.stats()
-        assert stats["stats"]["service"]["requests"] == 1
+                metrics = client.metrics()["metrics"]
+                assert metrics["service.requests"] == 1
+                assert metrics["session.tasks.evaluated"] == 1
+                assert metrics["service.request.latency_us"]["count"] == 1
 
-        metrics = client.metrics()["metrics"]
-        assert metrics["service.requests"] == 1
-        assert metrics["session.tasks.evaluated"] == 1
-        assert metrics["service.request.latency_us"]["count"] == 1
+                exposition = client.metrics(format="prometheus")["exposition"]
+                assert "service_requests 1" in exposition
 
-        exposition = client.metrics(format="prometheus")["exposition"]
-        assert "service_requests 1" in exposition
-
-        drained = client.drain()
-        assert drained == {"draining": True, "ok": True, "op": "drain"}
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-        service.close()
+                drained = client.drain()
+                assert drained == {"draining": True, "ok": True,
+                                   "op": "drain"}
+            finally:
+                client.close()
+            handle._thread.join(timeout=10)
+            assert not handle._thread.is_alive()
 
         with pytest.raises(ReproError):
             client.ping()
@@ -448,29 +525,40 @@ class TestDaemonClient:
 # CLI front-end
 # ----------------------------------------------------------------------
 class TestServeCli:
-    def test_stdio_serve_command(self, monkeypatch, capsys):
-        from repro.cli import main
-
+    def test_stdio_serve_command(self):
+        # A subprocess: the stdio front end reads fd 0 itself, so a
+        # patched sys.stdin would not reach it.
         lines = _stream("hom", 3, seed=1) + ['{"op": "shutdown"}']
-        monkeypatch.setattr("sys.stdin",
-                            io.StringIO("\n".join(lines) + "\n"))
-        assert main(["serve", "--workers", "2"]) == 0
-        captured = capsys.readouterr()
-        out_lines = captured.out.splitlines()
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(repro.__file__)))
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--workers", "2"],
+            input="\n".join(lines) + "\n", capture_output=True, text=True,
+            env=env, timeout=120)
+        assert completed.returncode == 0, completed.stderr
+        out_lines = completed.stdout.splitlines()
         assert len(out_lines) == 4
         assert all(json.loads(line) for line in out_lines)
-        assert "repro serve:" in captured.err
-        assert "3 requests" in captured.err
+        assert "repro serve:" in completed.stderr
+        assert "3 requests" in completed.stderr
+
+    def test_http_port_without_port_is_refused(self, capsys):
+        from repro.cli import main
+
+        # Refused before any worker starts: the stdio front end has no
+        # HTTP facade to bind.
+        assert main(["serve", "start", "--http-port", "7783"]) == 2
+        assert "--http-port requires --port" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
-# stdio writer-queue backpressure (bounded response queue)
+# stdio backpressure (bounded answer queue)
 # ----------------------------------------------------------------------
 class TestStdioBackpressure:
     def test_slow_consumer_stalls_the_reader(self):
-        """When the sink stops draining, the bounded response queue
-        fills and the *reader* stalls — memory stays bounded instead
-        of buffering the whole stream's responses."""
+        """When the sink stops draining, the answers not yet written
+        fill their bounded queue and the *reader* stalls — memory stays
+        bounded instead of buffering the whole stream's responses."""
         total = 40
         lines = _stream("hom", total, seed=13)
         consumed = []
@@ -492,34 +580,39 @@ class TestStdioBackpressure:
                 produced.append(line)
                 yield line + "\n"
 
-        service = SolverService(workers=2)
         done = []
         thread = threading.Thread(
-            target=lambda: done.append(serve_stdio(
-                service, source=source(), sink=StallingSink(),
-                max_pending=4)),
+            target=lambda: done.append(
+                _serve(source(), StallingSink(), workers=1)[0]),
             daemon=True)
         thread.start()
-        # The writer is stuck on the first response; the reader may
-        # admit at most max_pending queued responses (plus the one in
-        # the writer's hands and one in its own) before stalling.
-        deadline = time.monotonic() + 5
-        while time.monotonic() < deadline and len(produced) < 6:
-            time.sleep(0.01)
-        time.sleep(0.2)  # give a runaway reader time to overshoot
-        stalled_at = len(produced)
-        assert stalled_at < total, (
-            "reader consumed the whole stream while the consumer was "
-            "stalled — no backpressure")
-        gate.set()
+        try:
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline and len(produced) < 6:
+                time.sleep(0.01)
+            time.sleep(0.2)  # give a runaway reader time to overshoot
+            stalled_at = len(produced)
+        finally:
+            gate.set()
         thread.join(timeout=30)
         assert not thread.is_alive()
-        service.close()
+        # The writer holds one answer, the queue one tenant window's
+        # worth, and the reader one more line before it stalls.
+        assert stalled_at <= TenantQuota.max_inflight + 2, (
+            f"reader consumed {stalled_at} of {total} lines while the "
+            f"consumer was stalled — no backpressure")
         assert done == [total]
         assert len(consumed) == total
 
-    def test_max_pending_must_be_positive(self):
-        with SolverService() as service:
-            with pytest.raises(ReproError, match="max_pending"):
-                serve_stdio(service, source=iter([]), sink=io.StringIO(),
-                            max_pending=0)
+    def test_failing_sink_ends_the_stream_with_its_error(self):
+        class BrokenSink:
+            def write(self, text: str) -> None:
+                raise BrokenPipeError("the consumer went away")
+
+            def flush(self) -> None:
+                pass
+
+        lines = _stream("hom", 40, seed=13)
+        with pytest.raises(BrokenPipeError):
+            _serve(iter(line + "\n" for line in lines), BrokenSink(),
+                   workers=1)
