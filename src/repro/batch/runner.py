@@ -58,6 +58,7 @@ from repro.errors import ReproError
 from repro.faults.budget import BudgetExceeded, use_budget
 from repro.faults.inject import (
     FaultPlan,
+    current_fault_plan,
     install_fault_plan,
     should_inject,
 )
@@ -232,13 +233,15 @@ def _metrics_delta() -> Dict[str, float]:
 
 def _evaluate_chunk(lines: List[str]) -> tuple:
     """``(result lines, metrics delta)`` for one chunk."""
-    for line in lines:
-        # The ``worker.chunk`` fault point: a poison task kills its
-        # worker outright — no exception, no cleanup — exactly like a
-        # segfault or the OOM killer.  ``os._exit`` (not sys.exit)
-        # so no handler downstream can soften the crash.
-        if should_inject("worker.chunk", key=_line_id(line)):
-            os._exit(86)
+    if current_fault_plan() is not None:
+        for line in lines:
+            # The ``worker.chunk`` fault point: a poison task kills its
+            # worker outright — no exception, no cleanup — exactly like
+            # a segfault or the OOM killer.  ``os._exit`` (not sys.exit)
+            # so no handler downstream can soften the crash.  Without a
+            # plan no line is parsed for its id.
+            if should_inject("worker.chunk", key=_line_id(line)):
+                os._exit(86)
     results = [evaluate_line(line, _WORKER_SESSION) for line in lines]
     return results, _metrics_delta()
 

@@ -7,6 +7,9 @@ the vector of its component multiplicities: ``v = Σ_i a_i·w_i`` gives
 ``v⃗ = (a_1, ..., a_k)`` (Observation 28; the representation is unique
 because components are deduplicated up to isomorphism).
 
+Classes are keyed by :func:`~repro.structures.canonical.canonical_key`
+(equal keys ⟺ isomorphic); a class keeps the index of its first occurrence.
+
 Observation 30 then evaluates queries from basis counts::
 
     v(D) = Π_i  w_i(D) ^ v⃗(i)
@@ -16,12 +19,15 @@ with the paper's convention ``0^0 = 1``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import DecisionError, UnsupportedQueryError
 from repro.queries.cq import ConjunctiveQuery
+from repro.structures.canonical import canonical_key
 from repro.structures.components import connected_components
-from repro.structures.isomorphism import find_isomorphism, invariant_key
+# Classes are keyed by canonical_key; this name stays bound only
+# because perfbench/tracer.py patches it (its structures.isomorphism span).
+from repro.structures.isomorphism import find_isomorphism  # noqa: F401
 from repro.structures.structure import Structure
 
 
@@ -32,13 +38,13 @@ class ComponentBasis:
     their order is fixed at construction, so vectors are comparable.
     """
 
-    __slots__ = ("components", "_buckets")
+    __slots__ = ("components", "_index")
 
     def __init__(self, components: Sequence[Structure]):
         self.components: Tuple[Structure, ...] = tuple(components)
-        self._buckets: Dict[tuple, List[int]] = {}
+        self._index: Dict[bytes, int] = {}
         for index, component in enumerate(self.components):
-            self._buckets.setdefault(invariant_key(component), []).append(index)
+            self._index.setdefault(canonical_key(component), index)
 
     @classmethod
     def from_queries(cls, queries: Sequence[ConjunctiveQuery]) -> "ComponentBasis":
@@ -47,20 +53,12 @@ class ComponentBasis:
         Queries must be boolean; a 0-ary atom anywhere is rejected
         because the component calculus (Lemma 4(1)/(2)) fails for it.
         """
-        representatives: List[Structure] = []
-        buckets: Dict[tuple, List[int]] = {}
+        representatives: Dict[bytes, Structure] = {}
         for query in queries:
             validate_for_component_basis(query)
             for component in connected_components(query.frozen_body()):
-                key = invariant_key(component)
-                bucket = buckets.setdefault(key, [])
-                if not any(
-                    find_isomorphism(component, representatives[i]) is not None
-                    for i in bucket
-                ):
-                    bucket.append(len(representatives))
-                    representatives.append(component)
-        return cls(representatives)
+                representatives.setdefault(canonical_key(component), component)
+        return cls(list(representatives.values()))
 
     # ------------------------------------------------------------------
     # Vector representations
@@ -72,10 +70,7 @@ class ComponentBasis:
 
     def index_of(self, component: Structure) -> Optional[int]:
         """Index of the basis element isomorphic to ``component``."""
-        for index in self._buckets.get(invariant_key(component), ()):
-            if find_isomorphism(component, self.components[index]) is not None:
-                return index
-        return None
+        return self._index.get(canonical_key(component))
 
     def vector(self, query: ConjunctiveQuery) -> Tuple[int, ...]:
         """Definition 29: component multiplicities of ``query`` over W.

@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from repro.errors import LinalgError
+from repro.faults.budget import active_budget
 from repro.linalg.matrix import QMatrix, QVector, vector
 from repro.linalg.span import integerize
 
@@ -82,28 +83,31 @@ class SimplicialCone:
         self,
         direction: Sequence[int],
         center: Sequence,
-        max_denominator: int = 2 ** 40,
     ) -> Fraction:
         """Lemma 57: a rational ``t ≠ 1`` with ``t^z ∘ p ∈ C``.
 
         ``t ↦ t^z ∘ p`` is continuous and maps 1 to the interior point
         ``p``, so parameters close enough to 1 stay inside; we walk
-        ``t = 1 ± 1/2^j`` until membership holds.
+        ``t = 1 ± 1/2^j`` until membership holds.  The walk has no
+        fixed length: how close ``t`` must come to 1 grows with the
+        bit size of the evaluation matrix (seeded ``cq-witness`` tasks
+        need up to 2^-85), and the interior check guarantees a hit.
+        Each step is charged to the active budget, so a deadline
+        bounds it.
         """
         if not self.strictly_contains(center):
             raise LinalgError("perturbation center must be interior")
+        budget = active_budget()
         denominator = 2
-        while denominator <= max_denominator:
+        while True:
+            if budget is not None:
+                budget.charge(1)
             for t in (Fraction(denominator + 1, denominator),
                       Fraction(denominator - 1, denominator)):
                 candidate = perturb(t, direction, center)
                 if candidate is not None and self.contains(candidate):
                     return t
             denominator *= 2
-        raise LinalgError(
-            "no perturbation parameter found; this contradicts Lemma 57 "
-            "and indicates a non-interior center"
-        )
 
 
 def perturb(t: Fraction, direction: Sequence[int], center: Sequence) -> Optional[QVector]:

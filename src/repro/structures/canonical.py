@@ -1,8 +1,9 @@
 """Canonical labeling of structures — stable byte keys per iso class.
 
-The engine memo, the persistent SQLite store and the dedup loops all
-need to answer "which isomorphism class is this component in?".  The
-pre-interning answer bucketed structures by
+The engine memo, the persistent SQLite store, the component basis and
+the UCQ disjunct classes all need to answer "which isomorphism class is
+this component in?".  The pre-interning answer (now only the test
+oracle) bucketed structures by
 :func:`~repro.structures.isomorphism.invariant_key` and ran *pairwise*
 ``find_isomorphism`` inside each bucket — per-probe cost grows with
 bucket population, and a bucket's chosen representative differs between
@@ -252,7 +253,9 @@ def canonical_key(structure: Structure) -> bytes:
     iso-class multisets agree).  Besides matching how the engine memo
     consumes keys, this keeps the labeling search from multiplying its
     branches across components — a union of color-uniform cycles costs
-    the *sum* of its components' searches, not the product.
+    the *sum* of its components' searches, not the product.  Frozen
+    bodies share most of their components, so component certificates
+    are memoized too.
     """
     from repro.structures.components import connected_components
 
@@ -262,14 +265,22 @@ def canonical_key(structure: Structure) -> bytes:
     if len(components) <= 1:
         certificate = _canonical_certificate(InternedStructure(structure))
     else:
-        inter = InternedStructure(structure)
+        parts = sorted(map(_component_certificate, components))
+        # Components partition the domain, so the whole structure's
+        # size and isolated count are the sums of theirs.
         certificate = (
-            inter.n, inter.n - inter.n_active,
-            ("components", tuple(sorted(
-                _canonical_certificate(InternedStructure(component))
-                for component in components))),
+            sum(part[0] for part in parts), sum(part[1] for part in parts),
+            ("components", tuple(parts)),
         )
     return repr(certificate).encode("utf-8")
+
+
+# Sized like canonical_key's memo and the component split (E22); a
+# connected structure's key never goes through here, so a stream of
+# renamed one-off sources pins nothing in it.
+@lru_cache(maxsize=1024)
+def _component_certificate(component: Structure) -> Tuple:
+    return _canonical_certificate(InternedStructure(component))
 
 
 def canonical_stats() -> Dict[str, int]:

@@ -28,7 +28,10 @@ from repro.errors import DecisionError
 from repro.linalg.span import span_coefficients
 from repro.queries.evaluation import evaluate_boolean
 from repro.queries.ucq import UnionOfBooleanCQs
-from repro.structures.isomorphism import find_isomorphism, invariant_key
+from repro.structures.canonical import canonical_key
+# Classes are keyed by canonical_key; this name stays bound only
+# because perfbench/tracer.py patches it (its structures.isomorphism span).
+from repro.structures.isomorphism import find_isomorphism  # noqa: F401
 from repro.structures.structure import Structure
 from repro.ucq.hilbert import iter_solutions
 from repro.ucq.profiles import Profile, view_profile_answers
@@ -165,34 +168,23 @@ def _disjunct_vectors(
     """Vector of disjunct iso-class multiplicities for each UCQ.
 
     Frozen bodies are compared up to isomorphism (Lemma 43 makes this
-    exactly the right equivalence for counting).
+    exactly the right equivalence for counting), identified by
+    :func:`~repro.structures.canonical.canonical_key`; classes are
+    numbered in order of first occurrence.
     """
-    representatives: List[Structure] = []
-    buckets: Dict[tuple, List[int]] = {}
-
-    def class_index(body: Structure) -> int:
-        key = invariant_key(body)
-        bucket = buckets.setdefault(key, [])
-        for index in bucket:
-            if find_isomorphism(body, representatives[index]) is not None:
-                return index
-        bucket.append(len(representatives))
-        representatives.append(body)
-        return len(representatives) - 1
-
-    raw: List[List[int]] = []
+    classes: Dict[bytes, int] = {}
+    raw: List[Dict[int, int]] = []
     for query in queries:
         counts: Dict[int, int] = {}
         for disjunct in query.disjuncts:
-            index = class_index(disjunct.frozen_body())
+            index = classes.setdefault(
+                canonical_key(disjunct.frozen_body()), len(classes))
             counts[index] = counts.get(index, 0) + 1
         raw.append(counts)
 
-    dimension = len(representatives)
-    vectors = []
-    for counts in raw:
-        vectors.append(tuple(counts.get(i, 0) for i in range(dimension)))
-    return vectors
+    dimension = len(classes)
+    return [tuple(counts.get(i, 0) for i in range(dimension))
+            for counts in raw]
 
 
 def linear_certificate(

@@ -277,6 +277,23 @@ class TestWorkerSupervision:
                                   fault_plan=plan))
         assert again == chaos
 
+    def test_chunk_parses_task_ids_only_under_a_plan(self, monkeypatch):
+        # Without a plan the worker.chunk point must not parse each
+        # line for its id; with one it consults every line.
+        lines = self._tasks()[:2]
+        seen = []
+        monkeypatch.setattr(runner, "_line_id", seen.append)
+        with SolverSession() as session:
+            monkeypatch.setattr(runner, "_WORKER_SESSION", session)
+            monkeypatch.setattr(runner, "_WORKER_LAST_METRICS", {})
+            results, _ = runner._evaluate_chunk(lines)
+            assert seen == []
+            assert [json.loads(r)["ok"] for r in results] == [True, True]
+            install_fault_plan(FaultPlan(
+                {"seed": 1, "worker.chunk": {"task_ids": ["never"]}}))
+            assert runner._evaluate_chunk(lines)[0] == results
+            assert seen == lines
+
     def test_hung_task_is_quarantined_after_chunk_timeout(self,
                                                           monkeypatch):
         lines = self._tasks()

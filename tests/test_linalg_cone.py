@@ -103,3 +103,25 @@ class TestLemma57:
         # ⟨z,q⟩ ≠ 0 guarantees z ≠ 0 in real runs, but the primitive
         # should still behave: t^0 ∘ p = p.
         assert perturb(Fraction(3, 2), (0, 0), [2, 3]) == (Fraction(2), Fraction(3))
+
+
+class TestLemma57Budget:
+    def test_walk_charges_the_active_budget(self):
+        from repro.faults.budget import Budget, use_budget
+
+        cone = SimplicialCone(EXAMPLE_54)
+        center = cone.interior_point()
+        budget = Budget(max_steps=10 ** 6)
+        with use_budget(budget):
+            cone.perturbation_parameter((1, -2), center)
+        assert budget.steps >= 1
+
+    def test_exhausted_budget_stops_the_walk(self):
+        from repro.faults.budget import Budget, BudgetExceeded, use_budget
+
+        cone = SimplicialCone(EXAMPLE_54)
+        center = cone.interior_point()
+        budget = Budget(max_steps=1)
+        budget.steps = 1
+        with use_budget(budget), pytest.raises(BudgetExceeded):
+            cone.perturbation_parameter((1, -2), center)

@@ -109,3 +109,27 @@ class TestWitnessInternals:
         result = decide_bag_determinacy([query], query)
         with pytest.raises(DecisionError):
             construct_counterexample(result)
+
+
+class TestLemma57LargeGoodBasis:
+    def test_walk_reaches_parameters_past_2_to_the_minus_40(self):
+        """Task cq-00088 of ``batch gen --kind cq-witness --count 400
+        --seed 9``: its good-basis matrix has entries of up to 67 bits,
+        and the Lemma 57 parameter lies 2^-50 from 1.  A walk capped at
+        denominator 2^40 answered it with "no perturbation parameter
+        found"."""
+        import json
+        from fractions import Fraction
+
+        from repro.batch.runner import evaluate_line
+        from repro.batch.scenarios import generate_scenario
+        from repro.session import SolverSession
+
+        task = generate_scenario("cq-witness", 89, seed=9)[88]
+        assert task["id"] == "cq-00088"
+        with SolverSession() as session:
+            record = json.loads(evaluate_line(json.dumps(task), session))
+        assert record["ok"] is True, record.get("error")
+        witness = record["witness"]
+        assert witness["verified"] is True
+        assert Fraction(witness["parameter"]) == 1 + Fraction(1, 2 ** 50)
