@@ -56,15 +56,15 @@ def test_witness_task_evaluation(benchmark):
 
 def test_cache_warm_rerun(benchmark, tmp_path):
     """Second run over the same scenario with a persistent store."""
-    from repro.batch.cache import SQLiteHomStore
+    from repro.batch.store import TieredHomStore
 
-    cache = str(tmp_path / "bench-cache.sqlite")
+    cache = str(tmp_path / "bench-cache")
     lines = heavy_lines(6, seed=3)
     cold = list(iter_results(lines, workers=1, cache_path=cache))
     warm = benchmark(
         lambda: list(iter_results(lines, workers=1, cache_path=cache)))
     assert warm == cold
-    with SQLiteHomStore(cache) as store:
+    with TieredHomStore(cache) as store:
         assert len(store) > 0
 
 

@@ -9,9 +9,9 @@ run asserts, against a single seeded :class:`repro.faults.FaultPlan`:
   and bisects the chunk and quarantines exactly that task, and every
   surviving result is byte-identical to a fault-free run;
 * **store corruption** — an injected ``sqlite3.DatabaseError`` on the
-  first store lookup quarantines the damaged file to
-  ``<path>.corrupt-<ts>`` and recreates the schema, without failing a
-  single task;
+  first store lookup quarantines the damaged shard file to
+  ``<cache>/shard-NNN.sqlite.corrupt-<ts>`` and recreates the schema,
+  without failing a single task;
 * **connect flaps** — two injected connection refusals against a live
   daemon are absorbed by the client's retry/backoff loop;
 * **deadlines** — a pinned adversarial request (``K7 → K25`` under
@@ -107,10 +107,10 @@ def check_batch_under_faults(workdir: str) -> None:
             fail(f"survivor {identifier} differs between clean and "
                  f"chaos runs")
 
-    corpses = glob.glob(chaos_cache + ".corrupt-*")
+    corpses = glob.glob(os.path.join(chaos_cache, "shard-*.sqlite.corrupt-*"))
     if not corpses:
         fail("injected store corruption left no quarantined "
-             f"{chaos_cache}.corrupt-* file")
+             f"{chaos_cache}/shard-*.sqlite.corrupt-* file")
     print(f"chaos check: batch OK — 1 task quarantined, "
           f"{summary['worker_restarts']} worker restart(s), "
           f"{len(corpses)} corrupt store file(s) quarantined, "

@@ -7,17 +7,16 @@ reproducible byte-for-byte regardless of worker count.
 
 * :mod:`repro.batch.tasks` — the serializable task codec (JSONL).
 * :mod:`repro.batch.scenarios` — seeded random instance families.
-* :mod:`repro.batch.cache` — the SQLite hom-count store the engine
-  consults across processes.
+* :mod:`repro.batch.store` — the persistent hom-count store (a memory
+  tier over SQLite shards) the engine consults across processes.
 * :mod:`repro.batch.runner` — chunked evaluation in forked worker
   processes with deterministic result ordering and resume support.
 * :mod:`repro.batch.pipe` — the worker pipe the runner shares with the
   async daemon.
 
-CLI: ``repro batch gen`` / ``repro batch run`` / ``repro batch cache``.
+CLI: ``repro batch gen`` / ``repro batch run`` / ``repro cache``.
 """
 
-from repro.batch.cache import SQLiteHomStore
 from repro.batch.runner import evaluate_task, iter_results, run_batch
 from repro.batch.scenarios import SCENARIO_KINDS, generate_scenario, write_scenario
 from repro.batch.tasks import (
@@ -37,7 +36,6 @@ __all__ = [
     "BatchCodecError",
     "DecodedTask",
     "SCENARIO_KINDS",
-    "SQLiteHomStore",
     "decode_task",
     "encode_task",
     "evaluate_task",

@@ -5,7 +5,7 @@ of result lines, optionally sharded across worker processes::
 
     from repro.batch import runner
     for line in runner.iter_results(open("tasks.jsonl"), workers=4,
-                                    cache_path="homcache.sqlite"):
+                                    cache_path="homstore"):
         print(line)
 
 Guarantees
@@ -200,8 +200,7 @@ _WORKER_LAST_METRICS: Dict[str, float] = {}
 
 def _init_worker(cache_path: Optional[str], preload: int,
                  fault_spec: Optional[Dict] = None,
-                 shards: Optional[int] = None,
-                 memory_tier: Optional[int] = None) -> None:
+                 shards: Optional[int] = None) -> None:
     global _WORKER_SESSION, _WORKER_LAST_METRICS
     if fault_spec is not None:
         # The plan travels as its JSON spec (counters are per-process;
@@ -210,7 +209,7 @@ def _init_worker(cache_path: Optional[str], preload: int,
         # worker kills by task id for exactly that reason).
         install_fault_plan(FaultPlan(fault_spec))
     _WORKER_SESSION = SolverSession(store_path=cache_path, preload=preload,
-                                    shards=shards, memory_tier=memory_tier)
+                                    shards=shards)
     _WORKER_LAST_METRICS = {}
 
 
@@ -339,21 +338,15 @@ def _backoff_delay(attempt: int) -> float:
     return delay * (0.5 + random.random() / 2)
 
 
-def _create_store(cache_path: str, shards: Optional[int],
-                  memory_tier: Optional[int]) -> None:
+def _create_store(cache_path: str, shards: Optional[int]) -> None:
     """Create (or migrate) the store and every shard file before any
     worker forks.  Two workers creating one shard file at the same
     moment can fail with ``database is locked``, and the store drops
     the rows of a write that fails."""
-    from repro.batch.store import open_store
+    from repro.batch.store import TieredHomStore
 
-    store = open_store(cache_path, shards=shards, memory_tier=memory_tier)
-    try:
-        ensure_shards = getattr(store, "ensure_shards", None)
-        if ensure_shards is not None:
-            ensure_shards()
-    finally:
-        store.close()
+    with TieredHomStore(cache_path, shards=shards) as store:
+        store.ensure_shards()
 
 
 class _Chunk:
@@ -653,20 +646,18 @@ def iter_results(
     fault_plan: Optional[Dict] = None,
     chunk_timeout: Optional[float] = None,
     shards: Optional[int] = None,
-    memory_tier: Optional[int] = None,
 ) -> Iterator[str]:
     """Evaluate task lines, yielding result lines in task order.
 
     ``workers <= 1`` runs inline (no subprocesses); otherwise
     ``workers`` forked processes evaluate the stream in chunks of
     ``chunk_size`` tasks (see :class:`_WorkerPool`).  ``cache_path``
-    names the shared persistent hom-count store (a directory — or
-    ``shards``/``memory_tier`` set — selects the sharded tiered store;
-    the parent creates it and every shard file before forking);
-    ``preload`` bounds how many stored counts each worker seeds into
-    its in-memory memo at startup.  Rows reach the store through its
-    write-behind; the rest are flushed when the stream ends.  An
-    explicit ``session``
+    names the shared persistent hom-count store, a directory of
+    ``shards`` SQLite shards when created here (the parent creates it
+    and every shard file before forking); ``preload`` bounds how many
+    stored counts each worker seeds into its in-memory memo at
+    startup.  Rows reach the store through its write-behind; the rest
+    are flushed when the stream ends.  An explicit ``session``
     (inline mode only — worker processes own their sessions) evaluates
     the stream under caller-owned state: the request service passes
     its resident session here so memo and store stay warm across
@@ -692,21 +683,20 @@ def iter_results(
                 "iter_results: pass either session= or cache_path=, "
                 "not both (the session already owns its store)")
     if cache_path is None:
-        shards = memory_tier = None
+        shards = None
     previous_plan = None
     if fault_plan is not None:
         previous_plan = install_fault_plan(FaultPlan(fault_plan))
     try:
         if workers <= 1:
             yield from _iter_inline(lines, session, cache_path, preload,
-                                    shards, memory_tier, metrics_sink)
+                                    shards, metrics_sink)
             return
         if cache_path is not None:
-            _create_store(cache_path, shards, memory_tier)
+            _create_store(cache_path, shards)
         chunk_size = max(1, chunk_size)
         pool = _WorkerPool(workers, chunk_size,
-                           (cache_path, preload, fault_plan, shards,
-                            memory_tier),
+                           (cache_path, preload, fault_plan, shards),
                            max_retries, chunk_timeout, metrics_sink)
         try:
             yield from pool.results(_chunks(lines, chunk_size))
@@ -720,12 +710,12 @@ def iter_results(
 
 def _iter_inline(lines: Iterable[str], session: Optional[SolverSession],
                  cache_path: Optional[str], preload: int,
-                 shards: Optional[int], memory_tier: Optional[int],
+                 shards: Optional[int],
                  metrics_sink: Optional[Dict[str, float]]) -> Iterator[str]:
     scoped = session
     if scoped is None:
         scoped = SolverSession(store_path=cache_path, preload=preload,
-                               shards=shards, memory_tier=memory_tier)
+                               shards=shards)
     before = (scoped.metrics.counters_snapshot()
               if metrics_sink is not None else {})
     try:
@@ -758,7 +748,6 @@ def run_batch(
     fault_plan: Optional[Dict] = None,
     chunk_timeout: Optional[float] = None,
     shards: Optional[int] = None,
-    memory_tier: Optional[int] = None,
 ) -> Dict[str, int]:
     """File-level driver behind ``repro batch run``.
 
@@ -810,7 +799,7 @@ def run_batch(
                                    max_retries=max_retries,
                                    fault_plan=fault_plan,
                                    chunk_timeout=chunk_timeout,
-                                   shards=shards, memory_tier=memory_tier):
+                                   shards=shards):
             sink.write(result + "\n")
             summary["written"] += 1
             if '"ok":false' in result:

@@ -1,10 +1,13 @@
-"""The tiered, sharded hom store (schema v3).
+"""The persistent hom store: a memory tier over SQLite shards.
 
-:class:`~repro.batch.cache.SQLiteHomStore` (schema v2) is one WAL
-file: every lookup is a synchronous disk probe behind one service
-lock, every record an eager write, and N resident replicas cannot
-share state without queueing on a single writer.  This module is the
-scale-out replacement — one store object, three tiers:
+:class:`~repro.hom.engine.HomEngine` memoizes ``|hom(component, leaf)|``
+counts and Chandra–Merlin existence probes per process; a batch run
+over thousands of instances drawn from a small component pool would
+recompute the same answers in every fresh process.
+:class:`TieredHomStore` is the layer the engine consults on in-memory
+misses (see ``HomEngine.store``), so each answer is computed once per
+machine and shared by batch workers and daemon replicas.  One store
+object, three tiers:
 
 1. **Memory tier** (:class:`MemoryTier`) — a bounded LRU dict keyed by
    ``(table, canonical_key, target_hash)``.  Hot lookups are answered
@@ -14,40 +17,58 @@ scale-out replacement — one store object, three tiers:
    hash-partitioned on the first bytes of the source's
    :func:`~repro.structures.canonical.canonical_key` (``crc32`` of the
    key prefix, deterministic across processes and hash seeds).  Each
-   shard carries the v2 table layout stamped ``PRAGMA user_version=3``
-   and is opened lazily — a batch worker touches only the shards its
-   keys hash into (``store.shard.opens`` counts real opens).  The
-   self-healing corruption path is per shard: a damaged shard file is
-   quarantined and rebuilt while its siblings keep serving.
+   shard is stamped ``PRAGMA user_version=3`` and is opened lazily — a
+   batch worker touches only the shards its keys hash into
+   (``store.shard.opens`` counts real opens).
 3. **Write-behind buffer** — records are queued per shard and
    published in one ``INSERT OR IGNORE`` transaction per shard when a
-   shard's queue reaches ``flush_every`` rows, when
-   ``flush_interval_s`` has elapsed since the last flush, on
+   shard's queue reaches ``FLUSH_EVERY`` rows, when
+   ``FLUSH_INTERVAL_S`` has elapsed since the last flush, on
    :meth:`flush` and on :meth:`close`.  The request path never waits
    on a per-record commit.
+
+Rows (``_SCHEMA``, in every shard): ``targets`` maps the hash of each
+distinct counting target to its canonical JSON (stored once);
+``hom_counts`` holds exact counts and ``hom_exists`` existence
+verdicts, both keyed by ``(src, target)`` — the source's canonical key
+(a *complete* isomorphism invariant, identical in every process for
+every member of the class) and the target's hash.  A lookup is one
+primary-key probe, and only the target needs a JSON form.  Counts are
+decimal text: hom counts routinely exceed 64-bit range.
 
 Layout on disk::
 
     <path>/                     # the store is a directory
         meta.json               # {"schema_version": 3, "shards": N}
-        shard-000.sqlite        # v2 tables, user_version=3
+        shard-000.sqlite        # the tables above, user_version=3
         shard-001.sqlite
         ...
 
-Migration: opening a ``path`` that is an existing **v2 single file**
-performs the one-shot v2→v3 migration — the file is moved aside to
+Migration: a **v2 single file** at ``path`` — the one-file layout of
+earlier releases, the same tables stamped ``user_version=2`` — is
+migrated once, on the first open.  Its version is checked where it
+lies: a legacy (pre-canonical-key) or future-versioned file is refused
+with :class:`StoreFormatError` and left in place, so every open refuses
+it again; a file SQLite reports as damaged is quarantined to
+``<path>.corrupt-<ts>`` (counted in ``corruptions``) and an empty store
+takes its place.  A readable file is moved aside to
 ``<path>.v2-backup``, the shard directory is created at ``path``, and
 every row is re-published into its shard (recency order preserved, so
 ``preload`` keeps serving the most recently recorded rows first).
-Legacy (pre-v2) and future-versioned files are refused with
-:class:`~repro.batch.cache.StoreFormatError`, exactly like the
-single-file store.
+
+Self-healing: the store is a cache, so a damaged shard is never worth
+failing a batch over.  Corruption SQLite reports ("database disk image
+is malformed", "file is not a database") quarantines that shard's file
+to ``<shard>.corrupt-<ts>``, rebuilds it and retries the operation once,
+while its siblings keep serving; contention degrades to a miss.  The
+``corruptions``/``retries`` counters surface as ``store.corruptions`` /
+``store.retries``.
 
 Tooling (``repro cache merge|compact|warm-pack``) is built on the
-row-level surface both store classes share: :meth:`iter_rows` /
-:meth:`record_row` move answers between stores without decoding any
-source structure (the canonical key *is* the identity), and
-:func:`export_warm_pack` / :func:`import_warm_pack` ship a compact
+row-level surface: :meth:`TieredHomStore.iter_rows` /
+:meth:`TieredHomStore.record_row` move answers between stores without
+decoding any source structure (the canonical key *is* the identity),
+and :func:`export_warm_pack` / :func:`import_warm_pack` ship a compact
 JSONL pack of the most recently recorded answers that
 ``repro serve start --preload-pack`` feeds into a fresh replica's
 store tiers.
@@ -55,10 +76,12 @@ store tiers.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import sqlite3
 import time
+import urllib.parse
 import zlib
 from collections import OrderedDict
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, TypeVar
@@ -71,24 +94,153 @@ from repro.structures.serialization import (
     structure_to_dict,
 )
 from repro.structures.structure import Structure
-from repro.batch.cache import (
-    _COUNTS,
-    _EXISTS,
-    _SCHEMA,
-    SQLiteHomStore,
-    StoreFormatError,
-    _digest,
-    _is_corruption,
-)
 from repro.batch.tasks import canonical_json
 
 _T = TypeVar("_T")
 
 SCHEMA_VERSION_V3 = 3
 DEFAULT_SHARDS = 8
-DEFAULT_MEMORY_TIER = 8192
-DEFAULT_FLUSH_EVERY = 512
-DEFAULT_FLUSH_INTERVAL_S = 2.0
+# Entries of the LRU memory tier, rows a shard queues before it
+# flushes, and the longest a queued row waits for an interval flush.
+TIER_CAPACITY = 8192
+FLUSH_EVERY = 512
+FLUSH_INTERVAL_S = 2.0
+
+_COUNTS = "hom_counts"
+_EXISTS = "hom_exists"
+
+_SCHEMA = (
+    """
+    CREATE TABLE IF NOT EXISTS targets (
+        hash TEXT PRIMARY KEY,
+        json TEXT NOT NULL
+    )
+    """,
+    f"""
+    CREATE TABLE IF NOT EXISTS {_COUNTS} (
+        src    BLOB NOT NULL,
+        target TEXT NOT NULL,
+        value  TEXT NOT NULL,
+        PRIMARY KEY (src, target)
+    )
+    """,
+    f"""
+    CREATE TABLE IF NOT EXISTS {_EXISTS} (
+        src    BLOB NOT NULL,
+        target TEXT NOT NULL,
+        value  TEXT NOT NULL,
+        PRIMARY KEY (src, target)
+    )
+    """,
+)
+
+# The user_version of a v2 single-file store (migrated on open).
+_V2_SCHEMA_VERSION = 2
+
+
+class StoreFormatError(ReproError):
+    """A store file whose on-disk schema this version cannot serve."""
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# The messages SQLite reports for a damaged file.  ``DatabaseError``
+# raised as the *base* class is corruption too ("database disk image is
+# malformed" surfaces that way); its OperationalError subclass usually
+# means contention, which has its own (skip, don't heal) handling.
+_CORRUPTION_MARKERS = ("malformed", "not a database", "corrupt")
+
+
+def _is_corruption(exc: sqlite3.Error) -> bool:
+    """Is this SQLite error a damaged file (as opposed to contention)?"""
+    if not isinstance(exc, sqlite3.DatabaseError):
+        return False
+    if type(exc) is sqlite3.DatabaseError:
+        return True
+    message = str(exc).lower()
+    return any(marker in message for marker in _CORRUPTION_MARKERS)
+
+
+def _move_aside(path: str, tag: str) -> str:
+    """Rename an SQLite file and its WAL sidecars to ``<path>.<tag>``
+    (``.1``, ``.2``, … when that name is taken); returns the new path.
+    Raises :class:`OSError` when ``path`` itself cannot be moved."""
+    destination = f"{path}.{tag}"
+    suffix = 0
+    while os.path.exists(destination):
+        suffix += 1
+        destination = f"{path}.{tag}.{suffix}"
+    os.replace(path, destination)
+    for sidecar in ("-wal", "-shm"):
+        try:
+            os.replace(path + sidecar, destination + sidecar)
+        except OSError:
+            pass
+    return destination
+
+
+def _check_v2_version(connection: sqlite3.Connection) -> None:
+    """Refuse single files this build cannot migrate.
+
+    ``user_version`` 0 is ambiguous: both a brand-new file and a
+    pre-versioning store report it, so the presence of the old ``inv``
+    column is what distinguishes a legacy store — its rows are keyed by
+    WL-digest buckets that canonical-key lookups would silently never
+    hit.
+    """
+    version = connection.execute("PRAGMA user_version").fetchone()[0]
+    if version == _V2_SCHEMA_VERSION:
+        return
+    if version == 0:
+        legacy = connection.execute(
+            "SELECT name FROM pragma_table_info(?) WHERE name='inv'",
+            (_COUNTS,),
+        ).fetchone()
+        if legacy is None:
+            return  # an empty (or at least inv-free) file
+        raise StoreFormatError(
+            "hom store uses the pre-canonical-key layout (rows keyed "
+            "by invariant digests); its keys cannot be served by this "
+            "version — delete the file and let the store rebuild, or "
+            "re-run the batch that produced it")
+    raise StoreFormatError(
+        f"hom store has schema version {version}, this build expects "
+        f"{_V2_SCHEMA_VERSION} for a single file; refusing to read keys "
+        f"that would silently never match")
+
+
+def _read_v2_rows(path: str) -> List[Tuple[str, bytes, str, str]]:
+    """Every ``(table, src_key, target_json, value)`` row of the v2
+    single file at ``path``, each table in rowid (recording) order.
+
+    Reads the file where it lies and issues no write of its own
+    (``mode=rw`` also keeps a vanished file from being created empty).
+    Raises :class:`StoreFormatError` for a file this build cannot
+    migrate and :class:`sqlite3.DatabaseError` for one SQLite cannot
+    read.
+    """
+    uri = f"file:{urllib.parse.quote(os.path.abspath(path))}?mode=rw"
+    connection = sqlite3.connect(uri, uri=True, timeout=30.0)
+    try:
+        _check_v2_version(connection)
+        tables = {name for (name,) in connection.execute(
+            "SELECT name FROM sqlite_master WHERE type='table'")}
+        rows: List[Tuple[str, bytes, str, str]] = []
+        for table in (_COUNTS, _EXISTS):
+            if table not in tables or "targets" not in tables:
+                continue
+            rows.extend(
+                (table, bytes(src_key), target_json, value)
+                for src_key, target_json, value in connection.execute(
+                    f"SELECT h.src, t.json, h.value FROM {table} h "
+                    f"JOIN targets t ON t.hash = h.target "
+                    f"ORDER BY h.rowid"))
+        return rows
+    finally:
+        connection.close()
+
 
 META_NAME = "meta.json"
 _SHARD_NAME = "shard-{:03d}.sqlite"
@@ -124,7 +276,7 @@ class MemoryTier:
 
     __slots__ = ("capacity", "hits", "misses", "evictions", "_entries")
 
-    def __init__(self, capacity: int = DEFAULT_MEMORY_TIER):
+    def __init__(self, capacity: int = TIER_CAPACITY):
         self.capacity = max(1, capacity)
         self.hits = 0
         self.misses = 0
@@ -166,11 +318,11 @@ class MemoryTier:
 class TieredHomStore:
     """Memory tier + hash-partitioned SQLite shards + write-behind.
 
-    Implements the same duck-typed store protocol as
-    :class:`~repro.batch.cache.SQLiteHomStore` (``lookup``/``record``,
-    ``lookup_exists``/``record_exists``, ``preload``, ``flush``,
-    ``close``, ``clear``, ``stats``), so the engine, the session and
-    every CLI verb treat the two interchangeably.
+    Implements the engine's duck-typed store protocol
+    (``lookup``/``record``, ``lookup_exists``/``record_exists``,
+    ``flush``) plus ``preload``, ``close``, ``clear``, ``stats`` and the
+    row-level tooling surface; it is the store behind every ``--cache``
+    and ``store_path``.
 
     ``path`` is a directory (created on first open).  An existing v2
     single file at ``path`` is migrated in one shot (see module docs).
@@ -180,13 +332,10 @@ class TieredHomStore:
     store, never a silent rehash that would orphan every existing row.
     """
 
-    def __init__(self, path: str, shards: Optional[int] = None,
-                 memory_tier: int = DEFAULT_MEMORY_TIER,
-                 flush_every: int = DEFAULT_FLUSH_EVERY,
-                 flush_interval_s: float = DEFAULT_FLUSH_INTERVAL_S):
+    def __init__(self, path: str, shards: Optional[int] = None):
+        if shards is not None and shards < 1:
+            raise ReproError(f"shards must be >= 1, got {shards}")
         self.path = path
-        self.flush_every = max(1, flush_every)
-        self.flush_interval_s = flush_interval_s
         self.lookups = 0
         self.lookup_hits = 0
         self.inserts = 0
@@ -195,35 +344,19 @@ class TieredHomStore:
         self.flush_batches = 0
         self.flush_rows = 0
         self.shard_opens = 0
-        self.tier = MemoryTier(memory_tier)
+        self.tier = MemoryTier()
         # (json, sha256) per target Structure; None = unserializable.
         self._target_cache: Dict[Structure,
                                  Optional[Tuple[str, str]]] = {}
         self._owner_pid = os.getpid()
-        migrate_from: Optional[str] = None
+        legacy_rows: List[Tuple[str, bytes, str, str]] = []
+        if os.path.isfile(path):
+            legacy_rows = self._take_v2_file(path)
         if os.path.isdir(path):
             self.shards = self._adopt_meta(path, shards)
-        elif os.path.exists(path):
-            # A regular file where the shard directory should be: the
-            # one-shot v2→v3 migration (or a refusal, for legacy and
-            # future formats — _migrate_source_store raises for those).
-            try:
-                migrate_from = self._displace_v2_file(path)
-            except FileNotFoundError:
-                # A sibling process won the displace race and is
-                # building the directory; adopt its layout instead.
-                if not os.path.isdir(path):
-                    raise
-                self.shards = self._adopt_meta(path, shards)
-            if migrate_from is not None:
-                self.shards = (shards if shards is not None
-                               else DEFAULT_SHARDS)
-                self._create_dir(path, self.shards)
         else:
             self.shards = shards if shards is not None else DEFAULT_SHARDS
             self._create_dir(path, self.shards)
-        if self.shards < 1:
-            raise ReproError(f"shards must be >= 1, got {self.shards}")
         self._connections: Dict[int, sqlite3.Connection] = {}
         self._file_seen = [False] * self.shards
         self._pending: List[Dict[str, List[Tuple[bytes, str, str]]]] = [
@@ -232,8 +365,10 @@ class TieredHomStore:
             {} for _ in range(self.shards)]
         self._pending_count: List[int] = [0] * self.shards
         self._last_flush = time.monotonic()
-        if migrate_from is not None:
-            self._migrate_source_store(migrate_from)
+        if legacy_rows:
+            for row in legacy_rows:
+                self.record_row(*row)
+            self.flush()
 
     # ------------------------------------------------------------------
     # Layout: meta file, shard files, migration
@@ -327,36 +462,35 @@ class TieredHomStore:
         os.makedirs(path, exist_ok=True)
         cls._write_meta(path, shards)
 
-    @staticmethod
-    def _displace_v2_file(path: str) -> str:
-        """Move the single-file store aside so the directory can take
-        its path.  The backup is kept — migration is additive."""
-        backup = f"{path}.v2-backup"
-        suffix = 0
-        while os.path.exists(backup):
-            suffix += 1
-            backup = f"{path}.v2-backup.{suffix}"
-        os.replace(path, backup)
-        for sidecar in ("-wal", "-shm"):
-            try:
-                os.replace(path + sidecar, backup + sidecar)
-            except OSError:
-                pass
-        return backup
+    def _take_v2_file(self, path: str) -> List[Tuple[str, bytes, str, str]]:
+        """The rows of the v2 single file at ``path``, which is then
+        moved aside to ``<path>.v2-backup`` (migration is additive).
 
-    def _migrate_source_store(self, source_path: str) -> None:
-        """Publish every row of the displaced v2 file into its shard.
-
-        Opening the backup through :class:`SQLiteHomStore` reuses the
-        v2 version guard verbatim: a legacy (pre-canonical-key) or
-        future-versioned file raises :class:`StoreFormatError` here,
-        before the new directory has served a single lookup.
+        The version guard runs on the file where it lies, so a refused
+        file stays at ``path`` and every open refuses it again.  A
+        damaged file is quarantined instead and yields no rows; so does
+        a file a sibling process moved first (that process migrates
+        it).
         """
-        with SQLiteHomStore(source_path) as legacy:
-            for table in (_COUNTS, _EXISTS):
-                for src_key, target_json, value in legacy.iter_rows(table):
-                    self.record_row(table, src_key, target_json, value)
-        self.flush()
+        try:
+            rows = _read_v2_rows(path)
+        except sqlite3.DatabaseError as exc:
+            if not os.path.isfile(path):
+                return []
+            if not _is_corruption(exc):
+                raise ReproError(
+                    f"cannot migrate the single-file store {path}: {exc}")
+            self.corruptions += 1
+            try:
+                _move_aside(path, f"corrupt-{int(time.time())}")
+            except FileNotFoundError:
+                pass
+            return []
+        try:
+            _move_aside(path, "v2-backup")
+        except FileNotFoundError:
+            return []
+        return rows
 
     # ------------------------------------------------------------------
     # Connection lifecycle (per shard, fork-safe)
@@ -408,8 +542,9 @@ class TieredHomStore:
             if not os.path.exists(path):
                 return None
             self._file_seen[index] = True
-        # check_same_thread=False for the same reason as the v2 store:
-        # the request service serializes access under its engine lock.
+        # check_same_thread=False: a daemon worker shares one store
+        # among its tenants behind LockedStore, which serializes every
+        # access (the contract sqlite3 asks of cross-thread handles).
         connection = sqlite3.connect(path, timeout=30.0,
                                      check_same_thread=False)
         try:
@@ -454,10 +589,12 @@ class TieredHomStore:
     # ------------------------------------------------------------------
     def _guarded(self, index: int, operation: Callable[[], _T],
                  default: _T) -> _T:
-        """Run one shard operation with the v2 store's healing contract,
-        scoped to a single shard: contention degrades to ``default``,
-        corruption quarantines *that shard's* file, rebuilds it and
-        retries once — every sibling shard keeps serving untouched."""
+        """Run one shard operation with self-healing, scoped to that
+        shard.  Contention degrades to ``default`` (a cache never blocks
+        the batch); corruption quarantines *that shard's* file, rebuilds
+        it on the next open and retries once, and a second failure
+        degrades to ``default`` too — every sibling shard keeps serving
+        untouched, and callers keep serving from their memo."""
         for attempt in (0, 1):
             try:
                 return operation()
@@ -482,22 +619,12 @@ class TieredHomStore:
                 connection.close()
             except sqlite3.Error:
                 pass
-        path = self.shard_path(index)
-        stamp = int(time.time())
-        destination = f"{path}.corrupt-{stamp}"
-        suffix = 0
-        while os.path.exists(destination):
-            suffix += 1
-            destination = f"{path}.corrupt-{stamp}.{suffix}"
         try:
-            os.replace(path, destination)
+            _move_aside(self.shard_path(index), f"corrupt-{int(time.time())}")
         except OSError:
-            return
-        for sidecar in ("-wal", "-shm"):
-            try:
-                os.replace(path + sidecar, destination + sidecar)
-            except OSError:
-                pass
+            # Already quarantined (or never written) — recreating the
+            # shard is still the right next step.
+            pass
 
     # ------------------------------------------------------------------
     # Target serialization (memoized per structure)
@@ -576,8 +703,8 @@ class TieredHomStore:
         # The hottest write path in the system (every fresh engine
         # answer lands here), hand-inlined: target entry, LRU insert
         # and shard enqueue are spelled out instead of delegated —
-        # the per-record Python call overhead is what the record
-        # benchmark measures against the single-file store.
+        # the per-record Python call overhead is most of what the
+        # ``store_tiered`` record benchmark measures.
         entry = self._target_cache.get(target)
         if entry is None:
             if target in self._target_cache:
@@ -601,10 +728,10 @@ class TieredHomStore:
         if target_hash not in targets:
             targets[target_hash] = entry[0]
         count = self._pending_count[index] = self._pending_count[index] + 1
-        if count >= self.flush_every:
+        if count >= FLUSH_EVERY:
             self._flush_shard(index)
         elif not count & 63 and (time.monotonic() - self._last_flush
-                                 >= self.flush_interval_s):
+                                 >= FLUSH_INTERVAL_S):
             # Interval flushes only need coarse timing; polling the
             # clock every 64th queued row keeps it off the per-record
             # cost while still bounding write-behind staleness.
@@ -622,7 +749,7 @@ class TieredHomStore:
         if target_hash not in targets:
             targets[target_hash] = target_json
         count = self._pending_count[index] = self._pending_count[index] + 1
-        if count >= self.flush_every:
+        if count >= FLUSH_EVERY:
             self._flush_shard(index)
 
     def flush(self) -> None:
@@ -804,9 +931,9 @@ class TieredHomStore:
         return {"bytes_before": before, "bytes_after": after}
 
     def info(self) -> Dict[str, object]:
-        """The ``repro cache info`` report: per-shard row counts and
-        file sizes, schema version, memory-tier occupancy — plus the
-        legacy ``counts``/``exists`` totals."""
+        """The ``repro cache info`` report: row totals, per-shard row
+        counts and file sizes, schema version and memory tier
+        occupancy."""
         self._ensure_pid()
         shard_files: List[Dict[str, object]] = []
         counts = exists = 0
@@ -830,8 +957,8 @@ class TieredHomStore:
             "shards": self.shards,
             "counts": counts,
             "exists": exists,
-            "memory_tier": {"capacity": self.tier.capacity,
-                            "entries": len(self.tier)},
+            "tier": {"capacity": self.tier.capacity,
+                     "entries": len(self.tier)},
             "shard_files": shard_files,
         }
 
@@ -880,35 +1007,6 @@ class TieredHomStore:
         return (f"TieredHomStore(path={self.path!r}, shards={self.shards}, "
                 f"tier={len(self.tier)}/{self.tier.capacity}, "
                 f"hits={self.lookup_hits}/{self.lookups})")
-
-
-# ----------------------------------------------------------------------
-# Opening the right store for a path
-# ----------------------------------------------------------------------
-def open_store(path: str, shards: Optional[int] = None,
-               memory_tier: Optional[int] = None,
-               flush_every: Optional[int] = None):
-    """The store object a ``store_path`` (plus knobs) denotes.
-
-    * an existing **directory** is a sharded v3 store (the knobs may
-      refine tier capacity; an explicit mismatched shard count is
-      refused by the meta guard);
-    * any path with ``shards``/``memory_tier`` set opts into the v3
-      layout — an existing v2 file at that path is migrated in one
-      shot;
-    * otherwise the legacy single-file v2 store, byte-compatible with
-      every pre-existing deployment.
-    """
-    if os.path.isdir(path) or shards is not None or memory_tier is not None:
-        knobs: Dict[str, object] = {"shards": shards}
-        if memory_tier is not None:
-            knobs["memory_tier"] = memory_tier
-        if flush_every is not None:
-            knobs["flush_every"] = flush_every
-        return TieredHomStore(path, **knobs)
-    if flush_every is not None:
-        return SQLiteHomStore(path, flush_every=flush_every)
-    return SQLiteHomStore(path)
 
 
 # ----------------------------------------------------------------------

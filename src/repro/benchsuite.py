@@ -435,28 +435,22 @@ def run_benchmarks(repeat: int = 3) -> Dict[str, object]:
     }
 
     # -------------------------------------------------- store_tiered
-    # E20: the sharded tiered store vs the single-file PR 8 store,
-    # store layer in isolation (the duck-typed protocol both classes
-    # serve the engine through).  Sources are distinct small path
-    # shapes (every R/S word up to length 9) against two
+    # E20: the persistent store layer in isolation (the duck-typed
+    # protocol it serves the engine through).  Sources are distinct
+    # small path shapes (every R/S word up to length 9) against two
     # database-sized targets — the regime the paper's queries live in
-    # (small patterns, large instances), and the one where the single
-    # file's per-record target digest and per-record target-row
-    # re-queueing dominate: both costs scale with the target's JSON
-    # size, which the tiered store pays once per target, not once per
-    # row.  Record throughput times fresh rows flowing into existing
-    # shard files (steady state — file creation and schema DDL happen
-    # once per directory, so they stay outside the timed pass); lookup
-    # throughput times re-probing every key through a warm store (the
-    # tiered store answers from its LRU tier with zero I/O).  Both
-    # stores are verified to return identical values for every key
+    # (small patterns, large instances).  Record throughput times fresh
+    # rows flowing into existing shard files (steady state — file
+    # creation and schema DDL happen once per directory, so they stay
+    # outside the timed pass); lookup throughput times re-probing every
+    # key through a warm store (answered from its LRU tier with zero
+    # I/O).  The store is verified to return every recorded value
     # before timing.
     import itertools
     import os as os_module
     import shutil
     import tempfile
 
-    from repro.batch.cache import SQLiteHomStore
     from repro.batch.store import TieredHomStore
 
     store_sources = [
@@ -474,62 +468,34 @@ def run_benchmarks(repeat: int = 3) -> Dict[str, object]:
             store.record(source, target, value)
         store.flush()
 
-    def verify_store(store) -> None:
-        for source, target, value in store_rows:
-            assert store.lookup(source, target) == value
-
     def lookup_all(store) -> None:
         for _ in range(3):
             for source, target, value in store_rows:
                 assert store.lookup(source, target) == value
 
     with tempfile.TemporaryDirectory() as scratch:
-        counter = itertools.count()
+        tiered_record = float("inf")
+        for attempt in range(repeat):
+            path = os_module.path.join(scratch, f"rec{attempt}")
+            store = TieredHomStore(path, shards=4)
+            store.ensure_shards()
+            start = time.perf_counter()
+            record_into(store)
+            tiered_record = min(tiered_record, time.perf_counter() - start)
+            store.close()
+            shutil.rmtree(path)
 
-        def timed_record(make_store) -> float:
-            best = float("inf")
-            for _ in range(repeat):
-                path = os_module.path.join(scratch, f"rec{next(counter)}")
-                store = make_store(path)
-                if hasattr(store, "ensure_shards"):
-                    store.ensure_shards()
-                else:
-                    len(store)  # connect + schema DDL, outside the timing
-                start = time.perf_counter()
-                record_into(store)
-                best = min(best, time.perf_counter() - start)
-                store.close()
-                shutil.rmtree(path, ignore_errors=True)
-                if os_module.path.exists(path):
-                    os_module.unlink(path)
-            return best
-
-        single_record = timed_record(SQLiteHomStore)
-        tiered_record = timed_record(
-            lambda path: TieredHomStore(path, shards=4))
-
-        single_store = SQLiteHomStore(
-            os_module.path.join(scratch, "warm-single"))
         tiered_store = TieredHomStore(
             os_module.path.join(scratch, "warm-tiered"), shards=4)
-        record_into(single_store)
         record_into(tiered_store)
-        verify_store(single_store)
-        verify_store(tiered_store)
-        single_lookup = _timeit(lambda: lookup_all(single_store), repeat)
+        for source, target, value in store_rows:
+            assert tiered_store.lookup(source, target) == value
         tiered_lookup = _timeit(lambda: lookup_all(tiered_store), repeat)
-        single_store.close()
         tiered_store.close()
 
     workloads["store_tiered"] = {
-        "singlefile_record_s": single_record,
         "tiered_record_s": tiered_record,
-        "speedup_record": single_record / tiered_record
-        if tiered_record else float("inf"),
-        "singlefile_lookup_s": single_lookup,
         "tiered_lookup_s": tiered_lookup,
-        "speedup_lookup": single_lookup / tiered_lookup
-        if tiered_lookup else float("inf"),
         "rows": float(len(store_rows)),
     }
 
@@ -644,8 +610,6 @@ ABLATION_KEYS = frozenset({
     "large_target_direct_s",
     "backtrack_set_s",
     "dp_set_s",
-    "singlefile_record_s",
-    "singlefile_lookup_s",
 })
 
 

@@ -276,9 +276,8 @@ def _cmd_batch_run(args: argparse.Namespace) -> int:
         from repro.faults.inject import FaultPlan
 
         fault_plan = FaultPlan.from_file(args.fault_plan).to_spec()
-    if args.cache is None and (args.shards is not None
-                               or args.memory_tier is not None):
-        raise ReproError("--shards/--memory-tier require --cache")
+    if args.cache is None and args.shards is not None:
+        raise ReproError("--shards requires --cache")
     summary = run_batch(
         args.input,
         args.output,
@@ -291,7 +290,6 @@ def _cmd_batch_run(args: argparse.Namespace) -> int:
         fault_plan=fault_plan,
         chunk_timeout=args.chunk_timeout,
         shards=args.shards,
-        memory_tier=args.memory_tier,
     )
     print(
         f"batch: {summary['written']} results written "
@@ -309,13 +307,13 @@ def _cmd_batch_run(args: argparse.Namespace) -> int:
 def _open_cache(path: str):
     import os
 
-    from repro.batch.store import open_store
+    from repro.batch.store import TieredHomStore
 
     if not os.path.exists(path):
-        # Opening would silently create an empty database — a typo'd
-        # path must not be indistinguishable from an empty cache.
+        # Opening would silently create an empty store — a typo'd path
+        # must not be indistinguishable from an empty cache.
         raise ReproError(f"no such cache file: {path}")
-    return open_store(path)
+    return TieredHomStore(path)
 
 
 def _cmd_cache_info(args: argparse.Namespace) -> int:
@@ -326,15 +324,14 @@ def _cmd_cache_info(args: argparse.Namespace) -> int:
             return 0
         print(f"{args.cache}: {info['counts']} persisted hom counts, "
               f"{info['exists']} existence verdicts")
-        if info.get("shards", 1) > 1 or info.get("memory_tier"):
-            tier = info["memory_tier"]
-            print(f"  schema v{info['schema_version']}, "
-                  f"{info['shards']} shards, memory tier "
-                  f"{tier['entries']}/{tier['capacity']} entries")
-            for shard in info["shard_files"]:
-                print(f"  shard {shard['index']:03d}: "
-                      f"{shard['counts']} counts, {shard['exists']} exists, "
-                      f"{shard['bytes']} bytes")
+        tier = info["tier"]
+        print(f"  schema v{info['schema_version']}, "
+              f"{info['shards']} shards, memory tier "
+              f"{tier['entries']}/{tier['capacity']} entries")
+        for shard in info["shard_files"]:
+            print(f"  shard {shard['index']:03d}: "
+                  f"{shard['counts']} counts, {shard['exists']} exists, "
+                  f"{shard['bytes']} bytes")
     return 0
 
 
@@ -346,9 +343,9 @@ def _cmd_cache_flush(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache_merge(args: argparse.Namespace) -> int:
-    from repro.batch.store import copy_rows, open_store
+    from repro.batch.store import TieredHomStore, copy_rows
 
-    with open_store(args.into, shards=args.shards) as destination:
+    with TieredHomStore(args.into, shards=args.shards) as destination:
         total = 0
         for source_path in args.sources:
             with _open_cache(source_path) as source:
@@ -396,10 +393,8 @@ def _cmd_serve_start(args: argparse.Namespace) -> int:
     )
 
     if args.cache is None and (args.shards is not None
-                               or args.memory_tier is not None
                                or args.preload_pack is not None):
-        raise ReproError(
-            "--shards/--memory-tier/--preload-pack require --cache")
+        raise ReproError("--shards/--preload-pack require --cache")
     if args.http_port is not None and args.port is None:
         raise ReproError("--http-port requires --port (the HTTP/WebSocket "
                          "facade rides the TCP front end)")
@@ -408,7 +403,7 @@ def _cmd_serve_start(args: argparse.Namespace) -> int:
     service = AsyncSolverService(
         workers=args.workers, max_queue=args.max_queue,
         store_path=args.cache, shards=args.shards,
-        memory_tier=args.memory_tier, preload_pack=args.preload_pack,
+        preload_pack=args.preload_pack,
         strategy=args.strategy, preload=args.preload, logger=logger,
         request_deadline_ms=args.request_deadline_ms,
         max_inflight=args.tenant_max_inflight)
@@ -631,18 +626,15 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--workers", type=int, default=1, metavar="N",
                      help="worker processes (1 = run inline)")
     run.add_argument("--cache", default=None, metavar="PATH",
-                     help="persistent hom-count store shared by all "
-                          "workers and across runs (a file = single "
-                          "SQLite store; a directory or --shards = "
-                          "sharded tiered store)")
+                     help="persistent hom-count store directory shared "
+                          "by all workers and across runs (created if "
+                          "absent; an old single-file store at PATH is "
+                          "migrated on first open)")
     run.add_argument("--shards", type=int, default=None, metavar="N",
                      help="partition a store created at --cache into N "
-                          "hash-partitioned SQLite shards (implies the "
-                          "tiered store; workers open only the shards "
-                          "their keys hash into)")
-    run.add_argument("--memory-tier", type=int, default=None, metavar="K",
-                     help="in-process LRU tier capacity in entries for "
-                          "the tiered store (implies it; default 8192)")
+                          "hash-partitioned SQLite shards (default: 8; "
+                          "workers open only the shards their keys hash "
+                          "into)")
     run.add_argument("--preload-limit", type=int, default=2048,
                      metavar="K",
                      help="most-recently-recorded stored counts seeded "
@@ -677,16 +669,16 @@ def build_parser() -> argparse.ArgumentParser:
     info.add_argument("--json", action="store_true",
                       help="full machine-readable report: per-shard row "
                            "counts, file sizes, schema version, "
-                           "memory-tier occupancy")
+                           "memory tier occupancy")
     info.set_defaults(handler=_cmd_cache_info)
 
     flush = cache_sub.add_parser(
-        "flush", help="delete every persisted answer from a store file")
+        "flush", help="delete every persisted answer from a store")
     flush.add_argument("--cache", required=True, metavar="PATH")
     flush.set_defaults(handler=_cmd_cache_flush)
 
     merge = cache_sub.add_parser(
-        "merge", help="merge stores (files or shard directories) into one")
+        "merge", help="merge stores into one")
     merge.add_argument("sources", nargs="+", metavar="SRC",
                        help="stores to merge rows from")
     merge.add_argument("--into", required=True, metavar="DEST",
@@ -732,17 +724,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "sessions (default: the CPUs this process may "
                             "use)")
     start.add_argument("--cache", default=None, metavar="PATH",
-                       help="persistent hom-count store shared by every "
-                            "session (a file = single SQLite store; a "
-                            "directory or --shards = sharded tiered "
-                            "store)")
+                       help="persistent hom-count store directory shared "
+                            "by every session (created if absent; an old "
+                            "single-file store at PATH is migrated on "
+                            "first open)")
     start.add_argument("--shards", type=int, default=None, metavar="N",
                        help="partition a store created at --cache into N "
-                            "hash-partitioned SQLite shards")
-    start.add_argument("--memory-tier", type=int, default=None,
-                       metavar="K",
-                       help="in-process LRU tier capacity in entries for "
-                            "the tiered store (default 8192)")
+                            "hash-partitioned SQLite shards (default: 8)")
     start.add_argument("--preload-pack", default=None, metavar="PATH",
                        help="warm-start pack (cache warm-pack) imported "
                             "into the store before serving")

@@ -33,7 +33,7 @@ from repro.session import SolverSession, resolve_session
 from repro.queries.cq import ConjunctiveQuery
 from repro.core.basis import ComponentBasis, validate_for_component_basis
 from repro.core.rewriting import MonomialRewriting, rewriting_from_span
-from repro.structures.isomorphism import are_isomorphic
+from repro.structures.canonical import canonical_key
 
 
 @dataclass
@@ -199,4 +199,5 @@ def connected_case(
         validate_for_component_basis(view)
         if not is_connected(view.frozen_body()):
             raise DecisionError("Corollary 33 applies to connected queries only")
-    return any(are_isomorphic(frozen_query, v.frozen_body()) for v in views)
+    key = canonical_key(frozen_query)
+    return any(canonical_key(v.frozen_body()) == key for v in views)

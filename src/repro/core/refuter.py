@@ -177,14 +177,16 @@ def search_exhaustive_counterexample(
 def default_blocks(
     views: Sequence[ConjunctiveQuery], query: ConjunctiveQuery
 ) -> List[Structure]:
-    """Connected components of all queries, deduplicated — the natural
-    building blocks suggested by the Section 5 analysis."""
-    from repro.structures.isomorphism import dedupe_up_to_isomorphism
+    """Connected components of all queries, one per isomorphism class
+    in first-occurrence order — the natural building blocks suggested
+    by the Section 5 analysis."""
+    from repro.structures.canonical import canonical_key
 
-    components: List[Structure] = []
+    classes: Dict[bytes, Structure] = {}
     for q in list(views) + [query]:
-        components.extend(connected_components(q.frozen_body()))
-    return dedupe_up_to_isomorphism(components)
+        for component in connected_components(q.frozen_body()):
+            classes.setdefault(canonical_key(component), component)
+    return list(classes.values())
 
 
 def _build(multiplicities: Tuple[int, ...], blocks: Sequence[Structure]) -> Structure:

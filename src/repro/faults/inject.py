@@ -8,9 +8,9 @@ point fail:
 ====================  ====================================================
 point                 consulted by
 ====================  ====================================================
-``store.lookup``      :class:`repro.batch.cache.SQLiteHomStore` before
-                      each SQLite probe (fires as a corrupt-database
-                      error → exercises store self-healing)
+``store.lookup``      :class:`repro.batch.store.TieredHomStore` before
+                      each shard probe (fires as a corrupt-database
+                      error → exercises per-shard self-healing)
 ``worker.chunk``      batch worker processes before evaluating a chunk
                       (fires as ``os._exit`` → exercises pool restart,
                       retry and poison-task bisection)

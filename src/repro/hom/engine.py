@@ -974,7 +974,7 @@ class HomEngine:
         # ``record(component, leaf, count)``; implementations may also
         # provide ``lookup_exists``/``record_exists`` for the
         # Chandra–Merlin probes and ``flush``; see
-        # :class:`repro.batch.cache.SQLiteHomStore`).  Consulted on
+        # :class:`repro.batch.store.TieredHomStore`).  Consulted on
         # in-memory misses and fed every freshly computed count, so a
         # warm store survives the process and is shared across worker
         # processes of a batch run.

@@ -20,7 +20,7 @@ from typing import Iterator, List, Optional, Sequence
 
 from repro.errors import SearchExhaustedError
 from repro.hom.count import count_homs
-from repro.structures.isomorphism import are_isomorphic
+from repro.structures.canonical import canonical_key
 from repro.structures.generators import random_structure
 from repro.structures.operations import product, unit_structure
 from repro.structures.schema import Schema
@@ -46,7 +46,7 @@ def find_right_distinguisher(
     Raises :class:`SearchExhaustedError` if non-isomorphic inputs defeat
     the budget (Lemma 43 guarantees the search is not in vain).
     """
-    if are_isomorphic(left, right):
+    if canonical_key(left) == canonical_key(right):
         return None
     rng = rng or random.Random(0x10A5)
     for candidate in _candidates(left, right, rng, budget):
@@ -65,7 +65,7 @@ def find_left_distinguisher(
 ) -> Optional[Structure]:
     """Lemma 44 direction: an ``H`` with ``|hom(H, left)| ≠
     |hom(H, right)|``, or ``None`` for isomorphic inputs."""
-    if are_isomorphic(left, right):
+    if canonical_key(left) == canonical_key(right):
         return None
     rng = rng or random.Random(0x10A5)
     for candidate in _candidates(left, right, rng, budget):
@@ -119,7 +119,7 @@ def distinguisher_battery(
 
     for i, a in enumerate(structures):
         for b in structures[i + 1:]:
-            if are_isomorphic(a, b) or separated(a, b):
+            if canonical_key(a) == canonical_key(b) or separated(a, b):
                 continue
             found = find_right_distinguisher(a, b, rng=rng, budget=budget)
             if found is not None:

@@ -44,17 +44,17 @@ name                                  kind       meaning
 ``session.tasks.evaluated``           counter    requests answered
 ``session.tasks.errors``              counter    requests failed
 ``session.tasks.budget_exceeded``     counter    requests cut off by budget
-``store.lookups`` / ``.lookup_hits``  counter    SQLite store traffic
-``store.inserts``                     counter    SQLite store writes
+``store.lookups`` / ``.lookup_hits``  counter    persistent store traffic
+``store.inserts``                     counter    persistent store writes
 ``store.corruptions``                 counter    corrupt files quarantined
 ``store.retries``                     counter    ops retried after a heal
-``store.tier.hits`` / ``.misses``     counter    memory-tier LRU probes
-``store.tier.evictions``              counter    memory-tier LRU evictions
+``store.tier.hits`` / ``.misses``     counter    memory tier LRU probes
+``store.tier.evictions``              counter    memory tier LRU evictions
 ``store.flush.batches``               counter    write-behind transactions
 ``store.flush.rows``                  counter    rows published by flushes
 ``store.shard.opens``                 counter    shard files actually opened
 ``store.counts`` / ``store.exists``   gauge      persisted rows
-``store.tier.entries``                gauge      live memory-tier size
+``store.tier.entries``                gauge      live memory tier size
 ``store.shards``                      gauge      shard count of the store
 ``budget.exceeded_deadline``          counter    wall-clock budget trips
 ``budget.exceeded_steps``             counter    work-budget trips

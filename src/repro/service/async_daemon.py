@@ -196,14 +196,12 @@ class _WorkerState:
     store shared among them through :class:`LockedStore`."""
 
     def __init__(self, store_path: Optional[str], shards: Optional[int],
-                 memory_tier: Optional[int], preload: int,
-                 log_phases: bool):
+                 preload: int, log_phases: bool):
         store = None
         if store_path is not None:
-            from repro.batch.store import open_store
+            from repro.batch.store import TieredHomStore
 
-            store = LockedStore(open_store(store_path, shards=shards,
-                                           memory_tier=memory_tier))
+            store = LockedStore(TieredHomStore(store_path, shards=shards))
         self.store = store
         self.preload = preload if store is not None else 0
         self.log_phases = log_phases
@@ -413,7 +411,6 @@ class AsyncSolverService:
                  max_queue: int = DEFAULT_MAX_QUEUE,
                  store_path: Optional[str] = None,
                  shards: Optional[int] = None,
-                 memory_tier: Optional[int] = None,
                  preload_pack: Optional[str] = None,
                  strategy: str = "auto",
                  preload: int = 0,
@@ -426,20 +423,14 @@ class AsyncSolverService:
         self.logger = logger
         self.started_at = time.monotonic()
         if store_path is not None:
-            from repro.batch.store import import_warm_pack, open_store
+            from repro.batch.store import TieredHomStore, import_warm_pack
 
-            store = open_store(store_path, shards=shards,
-                               memory_tier=memory_tier)
-            try:
+            with TieredHomStore(store_path, shards=shards) as store:
                 if preload_pack is not None:
                     import_warm_pack(store, preload_pack)
-            finally:
-                store.close()
-        elif shards is not None or memory_tier is not None \
-                or preload_pack is not None:
-            raise ReproError(
-                "shards/memory_tier/preload_pack require store_path")
-        self._worker_config = (store_path, shards, memory_tier, preload,
+        elif shards is not None or preload_pack is not None:
+            raise ReproError("shards/preload_pack require store_path")
+        self._worker_config = (store_path, shards, preload,
                                logger is not None)
 
         self.metrics = MetricsRegistry()

@@ -20,7 +20,7 @@ each named tenant across connections — its own :class:`Tenant`:
 
 The sessions a worker holds share its one persistent store through
 :class:`LockedStore`, which owns the store and serializes access to it
-(the SQLite stores are only thread-compatible under external
+(the store's SQLite handles are only thread-compatible under external
 serialization).
 """
 

@@ -15,8 +15,9 @@ limits — and that can report aggregated statistics over its lifetime.
 * a :class:`~repro.hom.engine.HomEngine` (created from the session's
   configuration, or adopted from the caller);
 * an optional persistent store — either an object implementing the
-  engine's duck-typed store protocol, or a path to an SQLite store the
-  session opens (and then closes) itself;
+  engine's duck-typed store protocol, or the path of a
+  :class:`~repro.batch.store.TieredHomStore` the session opens (and
+  then closes) itself;
 * the counting ``strategy`` override and the memo bounds;
 * session-level counters (tasks evaluated, errors) that the batch
   runner and the request service feed.
@@ -29,7 +30,7 @@ module-level *default session* (:func:`default_session`), so existing
 callers keep their behaviour while new code scopes its state
 explicitly::
 
-    with SolverSession(store_path="homs.sqlite") as session:
+    with SolverSession(store_path="homstore") as session:
         result = decide_bag_determinacy(views, query, session=session)
         if not result.determined:
             pair = result.witness()        # reuses the deciding engine
@@ -61,17 +62,13 @@ class SolverSession:
         (``lookup``/``record``; see :class:`repro.hom.engine.HomEngine`).
         Borrowed — the caller closes it.
     store_path:
-        Path to a persistent hom store, owned by the session (opened
-        here, closed in :meth:`close`).  A plain file path opens the
-        single-file :class:`repro.batch.cache.SQLiteHomStore`; a
-        directory — or any path combined with ``shards=`` /
-        ``memory_tier=`` — opens the sharded, tiered
-        :class:`repro.batch.store.TieredHomStore` (migrating a v2 file
-        in place; see :func:`repro.batch.store.open_store`).
-    shards / memory_tier:
-        Tiered-store knobs (require ``store_path``): the shard count
-        for a store created at ``store_path``, and the LRU memory-tier
-        capacity in entries.
+        Directory of a persistent hom store, owned by the session
+        (opened here as a :class:`repro.batch.store.TieredHomStore`,
+        closed in :meth:`close`; a v2 single file at the path is
+        migrated on open).
+    shards:
+        The shard count of a store created at ``store_path`` (requires
+        ``store_path``; an existing store keeps its own).
     preload_pack:
         Path to a warm-start pack (``repro cache warm-pack``) whose
         rows are imported into the owned store before serving — the
@@ -100,7 +97,6 @@ class SolverSession:
     def __init__(self, *, engine: Optional[HomEngine] = None,
                  store=None, store_path: Optional[str] = None,
                  shards: Optional[int] = None,
-                 memory_tier: Optional[int] = None,
                  preload_pack: Optional[str] = None,
                  strategy: str = "auto",
                  max_counts: int = 16384, max_targets: int = 512,
@@ -120,21 +116,19 @@ class SolverSession:
                 "SolverSession takes either a store object or a "
                 "store_path, not both")
         if store_path is None and (shards is not None
-                                   or memory_tier is not None
                                    or preload_pack is not None):
             raise ReproError(
-                "shards=/memory_tier=/preload_pack= configure the "
-                "session-owned store and require store_path=")
+                "shards=/preload_pack= configure the session-owned "
+                "store and require store_path=")
         if strategy not in STRATEGIES:
             raise ReproError(
                 f"unknown counting strategy {strategy!r}; "
                 f"expected one of {STRATEGIES}")
         self._owns_store = False
         if store_path is not None:
-            from repro.batch.store import import_warm_pack, open_store
+            from repro.batch.store import TieredHomStore, import_warm_pack
 
-            store = open_store(store_path, shards=shards,
-                               memory_tier=memory_tier)
+            store = TieredHomStore(store_path, shards=shards)
             self._owns_store = True
             if preload_pack is not None:
                 import_warm_pack(store, preload_pack)
@@ -194,11 +188,10 @@ class SolverSession:
         read = getattr(self.engine.store, method, None)
         return read() if read else {}
 
-    # stats() key -> metric name, per kind.  The tier/flush/shard keys
-    # only appear when the attached store is the tiered one; the
-    # single-file store's stats simply lack them, so the mapping is
-    # shared by both store classes.  Counters come from the store's
-    # SQL-free counters(); only the gauges pay for stats()' row counts.
+    # stats() key -> metric name, per kind.  A borrowed store may
+    # report only some of the keys; the missing ones are skipped.
+    # Counters come from the store's SQL-free counters(); only the
+    # gauges pay for stats()' row counts.
     _STORE_COUNTER_METRICS = {
         "lookups": "store.lookups",
         "lookup_hits": "store.lookup_hits",

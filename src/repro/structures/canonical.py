@@ -1,6 +1,6 @@
 """Canonical labeling of structures — stable byte keys per iso class.
 
-The engine memo, the persistent SQLite store, the component basis and
+The engine memo, the persistent store, the component basis and
 the UCQ disjunct classes all need to answer "which isomorphism class is
 this component in?".  The pre-interning answer (now only the test
 oracle) bucketed structures by
@@ -14,7 +14,7 @@ lookup.  This module computes a **canonical form** instead:
 get the same key *iff* they are isomorphic.  The key is a pure
 function of the isomorphism class — stable across constant renames,
 component orderings, processes and service restarts — so it can serve
-directly as a memo key, an SQLite primary key, or (later) a shard key.
+directly as a memo key, an SQLite primary key, or a shard key.
 
 Algorithm (classic individualization–refinement over the interned
 form of :mod:`repro.structures.interned`):

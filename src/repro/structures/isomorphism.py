@@ -60,8 +60,8 @@ def invariant_key(structure: Structure) -> Tuple:
     non-isomorphism.  Combines domain size, per-relation fact counts and
     the color histogram of the stable refinement.  Memoized per
     structure — the component basis and the dedup buckets probe the
-    same components repeatedly.  (The engine memo and the SQLite store
-    moved on to the *complete* invariant,
+    same components repeatedly.  (The engine memo and the persistent
+    store moved on to the *complete* invariant,
     :func:`repro.structures.canonical.canonical_key`; this cheap key
     remains the bucketing front of the pairwise oracle.)
     """

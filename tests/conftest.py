@@ -59,3 +59,47 @@ def example13_paths():
     """Example 13: q = ABCD, V = {ABC, BC, BCD}."""
     views = [parse_path("A.B.C"), parse_path("B.C"), parse_path("B.C.D")]
     return views, parse_path("A.B.C.D")
+
+
+@pytest.fixture
+def write_v2_store():
+    """Build a v2 single-file store — the one-file layout of earlier
+    releases, which the tiered store migrates on open — with raw
+    sqlite3.  ``counts`` and ``exists`` are ``(source, target, value)``
+    triples, recorded in order (int counts, bool verdicts)."""
+    import hashlib
+    import sqlite3
+
+    from repro.batch.tasks import canonical_json
+    from repro.structures.canonical import canonical_key
+    from repro.structures.serialization import structure_to_dict
+
+    def write(path, counts=(), exists=()):
+        connection = sqlite3.connect(str(path))
+        connection.execute("PRAGMA journal_mode=WAL")
+        with connection:
+            connection.execute(
+                "CREATE TABLE targets (hash TEXT PRIMARY KEY, "
+                "json TEXT NOT NULL)")
+            for table in ("hom_counts", "hom_exists"):
+                connection.execute(
+                    f"CREATE TABLE {table} (src BLOB NOT NULL, "
+                    f"target TEXT NOT NULL, value TEXT NOT NULL, "
+                    f"PRIMARY KEY (src, target))")
+            for table, rows in (("hom_counts", counts),
+                                ("hom_exists", exists)):
+                for source, target, value in rows:
+                    text = canonical_json(structure_to_dict(target))
+                    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+                    connection.execute(
+                        "INSERT OR IGNORE INTO targets VALUES (?, ?)",
+                        (digest, text))
+                    stored = (str(value) if table == "hom_counts"
+                              else "1" if value else "0")
+                    connection.execute(
+                        f"INSERT INTO {table} VALUES (?, ?, ?)",
+                        (canonical_key(source), digest, stored))
+            connection.execute("PRAGMA user_version=2")
+        connection.close()
+
+    return write

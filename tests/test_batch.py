@@ -11,9 +11,13 @@ import time
 import pytest
 
 from repro.batch import runner
-from repro.batch.cache import SQLiteHomStore
 from repro.batch.runner import evaluate_line, iter_results, run_batch
 from repro.batch.scenarios import generate_scenario, write_scenario
+from repro.batch.store import (
+    SCHEMA_VERSION_V3,
+    StoreFormatError,
+    TieredHomStore,
+)
 from repro.batch.tasks import (
     BatchCodecError,
     canonical_json,
@@ -160,50 +164,63 @@ class TestScenarios:
 # Persistent store
 # ----------------------------------------------------------------------
 class TestSQLiteHomStore:
+    """What the retired single-file store was tested for, checked on
+    the store that replaced it at every ``--cache`` path (the class
+    keeps its name so these test ids stay comparable across
+    releases)."""
+
     def test_count_round_trip_and_iso_sharing(self, tmp_path):
-        store = SQLiteHomStore(str(tmp_path / "cache.sqlite"), flush_every=1)
+        store = TieredHomStore(str(tmp_path / "store"))
         component = path_structure(["R", "R"])
         target = clique_structure(4)
         assert store.lookup(component, target) is None
         store.record(component, target, 36)
+        store.flush()
         assert store.lookup(component, target) == 36
-        # A renamed copy is found through the isomorphism fallback.
+        # A renamed copy has the same canonical key, hence the same row.
         renamed = component.rename({c: f"n{c}" for c in component.domain()})
         assert store.lookup(renamed, target) == 36
         assert store.counts_len() == 1
         store.close()
 
     def test_exists_round_trip(self, tmp_path):
-        store = SQLiteHomStore(str(tmp_path / "cache.sqlite"), flush_every=1)
+        store = TieredHomStore(str(tmp_path / "store"))
         source = path_structure(["R"])
         assert store.lookup_exists(source, clique_structure(3)) is None
         store.record_exists(source, clique_structure(3), True)
         store.record_exists(clique_structure(3), source, False)
+        store.flush()
         assert store.lookup_exists(source, clique_structure(3)) is True
         assert store.lookup_exists(clique_structure(3), source) is False
         assert store.exists_len() == 2
+        store.close()
 
     def test_survives_reopen(self, tmp_path):
-        path = str(tmp_path / "cache.sqlite")
-        with SQLiteHomStore(path, flush_every=1) as store:
+        path = str(tmp_path / "store")
+        with TieredHomStore(path) as store:
             store.record(path_structure(["R"]), clique_structure(3), 6)
-        with SQLiteHomStore(path) as store:
+        with TieredHomStore(path) as store:
             assert store.lookup(path_structure(["R"]), clique_structure(3)) == 6
 
     def test_big_counts_survive(self, tmp_path):
-        store = SQLiteHomStore(str(tmp_path / "cache.sqlite"), flush_every=1)
+        path = str(tmp_path / "store")
         huge = 10 ** 40 + 7
-        store.record(path_structure(["R"]), clique_structure(3), huge)
-        assert store.lookup(path_structure(["R"]), clique_structure(3)) == huge
+        with TieredHomStore(path) as store:
+            store.record(path_structure(["R"]), clique_structure(3), huge)
+        # A fresh process-equivalent store: the value comes from SQL.
+        with TieredHomStore(path) as store:
+            assert store.lookup(path_structure(["R"]),
+                                clique_structure(3)) == huge
+            assert store.tier.hits == 0
 
     def test_preload_seeds_engine(self, tmp_path):
-        path = str(tmp_path / "cache.sqlite")
+        path = str(tmp_path / "store")
         component = path_structure(["R", "R"])
         target = clique_structure(4)
-        with SQLiteHomStore(path, flush_every=1) as store:
+        with TieredHomStore(path) as store:
             engine = HomEngine(store=store)
             expected = engine.count(component, target)
-        with SQLiteHomStore(path) as store:
+        with TieredHomStore(path) as store:
             warmed = HomEngine()
             assert store.preload(warmed) > 0
             before = warmed.misses
@@ -211,56 +228,75 @@ class TestSQLiteHomStore:
             assert warmed.misses == before  # served from the seeded memo
 
     def test_engine_store_hits_across_processes_simulated(self, tmp_path):
-        path = str(tmp_path / "cache.sqlite")
+        path = str(tmp_path / "store")
         component = path_structure(["R", "R", "R"])
         target = clique_structure(5)
-        with SQLiteHomStore(path, flush_every=1) as store:
+        with TieredHomStore(path) as store:
             first = HomEngine(store=store)
             truth = first.count(component, target)
             assert first.store_misses > 0
-        with SQLiteHomStore(path) as store:
+        with TieredHomStore(path) as store:
             second = HomEngine(store=store)
             assert second.count(component, target) == truth
             assert second.store_hits > 0
 
     def test_stats_shape(self, tmp_path):
-        store = SQLiteHomStore(str(tmp_path / "cache.sqlite"))
-        stats = store.stats()
-        assert set(stats) == {"counts", "exists", "lookups", "lookup_hits",
-                              "inserts", "corruptions", "retries"}
+        with TieredHomStore(str(tmp_path / "store")) as store:
+            stats = store.stats()
+        assert set(stats) == {
+            "counts", "exists", "lookups", "lookup_hits", "inserts",
+            "corruptions", "retries", "tier_hits", "tier_misses",
+            "tier_evictions", "tier_entries", "flush_batches",
+            "flush_rows", "shard_opens", "shards",
+        }
 
     def test_unserializable_source_still_persists(self, tmp_path):
         """Canonical keys freed the source side from the JSON wire
         format: only the *target* must serialize."""
-        store = SQLiteHomStore(str(tmp_path / "cache.sqlite"), flush_every=1)
+        store = TieredHomStore(str(tmp_path / "store"))
         weird = path_structure(["R"]).rename(
             {c: frozenset({c}) for c in path_structure(["R"]).domain()})
         target = clique_structure(3)
         store.record(weird, target, 6)
+        store.flush()
         assert store.lookup(weird, target) == 6
         # and an ordinary rename of the same class hits the same row
         assert store.lookup(path_structure(["R"]), target) == 6
+        store.close()
+
+
+def _assert_refused_in_place(path, message):
+    """Every open refuses the file, which stays untouched at its path."""
+    before = path.read_bytes()
+    for _ in range(2):
+        with pytest.raises(StoreFormatError, match=message):
+            TieredHomStore(str(path))
+        assert path.read_bytes() == before
+    assert [entry.name for entry in path.parent.iterdir()] == [path.name]
 
 
 class TestStoreSchemaVersioning:
     def test_fresh_store_is_stamped(self, tmp_path):
         import sqlite3
 
-        path = str(tmp_path / "cache.sqlite")
-        with SQLiteHomStore(path) as store:
+        path = tmp_path / "store"
+        with TieredHomStore(str(path)) as store:
             store.record(path_structure(["R"]), clique_structure(3), 6)
-        version = sqlite3.connect(path).execute(
-            "PRAGMA user_version").fetchone()[0]
-        from repro.batch.cache import SCHEMA_VERSION
-
-        assert version == SCHEMA_VERSION
+        shard_files = list(path.glob("shard-*.sqlite"))
+        assert shard_files
+        for shard_file in shard_files:
+            connection = sqlite3.connect(shard_file)
+            version = connection.execute(
+                "PRAGMA user_version").fetchone()[0]
+            connection.close()
+            assert version == SCHEMA_VERSION_V3
+        meta = json.loads((path / "meta.json").read_text())
+        assert meta["schema_version"] == SCHEMA_VERSION_V3
 
     def test_legacy_store_refused_with_clear_error(self, tmp_path):
         import sqlite3
 
-        from repro.batch.cache import StoreFormatError
-
-        path = str(tmp_path / "legacy.sqlite")
+        path = tmp_path / "legacy.sqlite"
         connection = sqlite3.connect(path)
         with connection:
             # The PR 2-era layout: WL-digest buckets, user_version 0.
@@ -270,21 +306,17 @@ class TestStoreSchemaVersioning:
             connection.execute(
                 "CREATE TABLE targets (hash TEXT PRIMARY KEY, json TEXT)")
         connection.close()
-        with pytest.raises(StoreFormatError, match="pre-canonical-key"):
-            SQLiteHomStore(path)
+        _assert_refused_in_place(path, "pre-canonical-key")
 
     def test_future_schema_version_refused(self, tmp_path):
         import sqlite3
 
-        from repro.batch.cache import StoreFormatError
-
-        path = str(tmp_path / "future.sqlite")
+        path = tmp_path / "future.sqlite"
         connection = sqlite3.connect(path)
         connection.execute("PRAGMA user_version=99")
         connection.commit()
         connection.close()
-        with pytest.raises(StoreFormatError, match="schema version 99"):
-            SQLiteHomStore(path)
+        _assert_refused_in_place(path, "schema version 99")
 
 
 # ----------------------------------------------------------------------
@@ -333,7 +365,7 @@ class TestRunner:
         cache = str(tmp_path / "cache.sqlite")
         lines = _scenario_lines("cq", 8, seed=4)
         cold = list(iter_results(lines, workers=1, cache_path=cache))
-        with SQLiteHomStore(cache) as store:
+        with TieredHomStore(cache) as store:
             assert len(store) > 0
         warm = list(iter_results(lines, workers=1, cache_path=cache))
         assert cold == warm

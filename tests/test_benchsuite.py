@@ -35,9 +35,7 @@ EXPECTED_WORKLOADS = {
                             "async_p50_ms", "async_p99_ms", "clients",
                             "requests"},
     "linalg_det": {"gaussian_fraction_s", "bareiss_s", "speedup"},
-    "store_tiered": {"singlefile_record_s", "tiered_record_s",
-                     "speedup_record", "singlefile_lookup_s",
-                     "tiered_lookup_s", "speedup_lookup", "rows"},
+    "store_tiered": {"tiered_record_s", "tiered_lookup_s", "rows"},
 }
 
 

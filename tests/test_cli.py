@@ -187,24 +187,25 @@ class TestLegacyAliases:
 # cache info / flush
 # ----------------------------------------------------------------------
 class TestCacheCommands:
-    @staticmethod
-    def _seed_store(path):
-        from repro.batch.cache import SQLiteHomStore
+    def test_info_then_flush_then_empty(self, tmp_path, capsys,
+                                        write_v2_store):
         from repro.structures.generators import clique_structure, path_structure
 
-        with SQLiteHomStore(str(path)) as store:
-            store.record(path_structure(["R"]), clique_structure(2), 4)
-            store.record_exists(path_structure(["R"]), clique_structure(2),
-                                True)
-
-    def test_info_then_flush_then_empty(self, tmp_path, capsys):
+        # A v2 single file migrates on its first open, `cache info`'s
+        # included.
         cache_file = tmp_path / "homs.sqlite"
-        self._seed_store(cache_file)
+        write_v2_store(cache_file,
+                       counts=[(path_structure(["R"]), clique_structure(2), 4)],
+                       exists=[(path_structure(["R"]), clique_structure(2),
+                                True)])
 
         assert main(["cache", "info", "--cache", str(cache_file)]) == 0
         out = capsys.readouterr().out
         assert "1 persisted hom counts" in out
         assert "1 existence verdicts" in out
+        assert "8 shards" in out
+        assert cache_file.is_dir()
+        assert (tmp_path / "homs.sqlite.v2-backup").is_file()
 
         assert main(["cache", "flush", "--cache", str(cache_file)]) == 0
         assert "flushed 2 persisted answers" in capsys.readouterr().out

@@ -309,18 +309,18 @@ def test_forced_dp_existence_probe_is_exact():
 
 def test_store_keys_are_shared_across_backends(tmp_path):
     """A count persisted by a DP engine is a store hit for a
-    backtracking engine: the SQLite keys are canonical-component
+    backtracking engine: the store keys are canonical-component
     based and backend-agnostic."""
-    from repro.batch.cache import SQLiteHomStore
+    from repro.batch.store import TieredHomStore
 
     grid = grid_structure(2, 4, horizontal="R", vertical="S")
     target = _dense_target()
-    path = str(tmp_path / "cache.sqlite")
-    with SQLiteHomStore(path) as store:
+    path = str(tmp_path / "store")
+    with TieredHomStore(path) as store:
         dp_engine = HomEngine(store=store, strategy="dp")
         expected = dp_engine.count(grid, target)
         dp_engine.flush_store()
-    with SQLiteHomStore(path) as store:
+    with TieredHomStore(path) as store:
         bt_engine = HomEngine(store=store, strategy="backtrack")
         assert bt_engine.count(grid, target) == expected
         assert bt_engine.store_hits == 1

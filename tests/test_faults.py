@@ -17,7 +17,6 @@ import time
 import pytest
 
 from repro.batch import runner
-from repro.batch.cache import SQLiteHomStore, StoreFormatError
 from repro.batch.runner import (
     _truncate_torn_tail,
     iter_results,
@@ -25,6 +24,7 @@ from repro.batch.runner import (
     task_identity,
 )
 from repro.batch.scenarios import generate_scenario, write_scenario
+from repro.batch.store import StoreFormatError, TieredHomStore
 from repro.batch.tasks import canonical_json, make_hom_count_task
 from repro.errors import ReproError
 from repro.faults import (
@@ -329,27 +329,30 @@ class TestStoreHealing:
     TGT = clique_structure(3, relation="E")
 
     def test_corrupt_file_quarantined_on_open(self, tmp_path):
+        # A damaged file where the store directory belongs is
+        # quarantined where it lies, not moved aside as a v2 backup.
         path = tmp_path / "store.sqlite"
         path.write_bytes(b"definitely not a database" * 64)
-        store = SQLiteHomStore(str(path))
+        store = TieredHomStore(str(path))
         assert store.corruptions == 1
-        assert store.retries == 1
+        assert path.is_dir()
+        quarantined = list(tmp_path.glob("store.sqlite.corrupt-*"))
+        assert len(quarantined) == 1
+        assert not list(tmp_path.glob("store.sqlite.v2-backup*"))
         store.record(self.SRC, self.TGT, 6)
         store.flush()
         assert store.lookup(self.SRC, self.TGT) == 6
-        quarantined = list(tmp_path.glob("store.sqlite.corrupt-*"))
-        assert len(quarantined) == 1
         store.close()
 
     def test_mid_life_corruption_heals_round_trip(self, tmp_path):
-        path = str(tmp_path / "store.sqlite")
-        with SQLiteHomStore(path) as store:
+        path = str(tmp_path / "store")
+        with TieredHomStore(path, shards=1) as store:
             store.record(self.SRC, self.TGT, 6)
-        with open(path, "r+b") as handle:
+        with open(tmp_path / "store" / "shard-000.sqlite", "r+b") as handle:
             handle.write(b"\xff" * 512)
-        with SQLiteHomStore(path) as healed:
-            assert healed.corruptions == 1
+        with TieredHomStore(path) as healed:
             assert healed.lookup(self.SRC, self.TGT) is None
+            assert healed.corruptions == 1
             healed.record(self.SRC, self.TGT, 6)
             healed.flush()
             assert healed.lookup(self.SRC, self.TGT) == 6
@@ -358,18 +361,20 @@ class TestStoreHealing:
         assert stats["retries"] == 1
 
     def test_injected_lookup_corruption_heals(self, tmp_path):
-        with SQLiteHomStore(str(tmp_path / "store.sqlite")) as store:
+        with TieredHomStore(str(tmp_path / "store")) as store:
             store.record(self.SRC, self.TGT, 6)
             store.flush()
             install_fault_plan(FaultPlan({"seed": 2, "store.lookup": [0]}))
             try:
                 # The poisoned probe heals and retries against the
-                # fresh (empty) file — a miss, never an exception.
+                # fresh (empty) shard — a miss, never an exception.
                 assert store.lookup(self.SRC, self.TGT) is None
             finally:
                 clear_fault_plan()
             assert store.corruptions == 1
             assert store.retries == 1
+            assert len(list((tmp_path / "store").glob(
+                "shard-*.sqlite.corrupt-*"))) == 1
             store.record(self.SRC, self.TGT, 6)
             store.flush()
             assert store.lookup(self.SRC, self.TGT) == 6
@@ -381,7 +386,7 @@ class TestStoreHealing:
         connection.commit()
         connection.close()
         with pytest.raises(StoreFormatError):
-            SQLiteHomStore(path)
+            TieredHomStore(path)
         # The file was refused, not quarantined.
         assert not list(tmp_path.glob("store.sqlite.corrupt-*"))
 

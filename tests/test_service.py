@@ -24,7 +24,7 @@ import repro
 import repro.service.async_daemon as async_daemon
 from repro.batch.runner import iter_results
 from repro.batch.scenarios import generate_scenario
-from repro.batch.store import open_store
+from repro.batch.store import TieredHomStore
 from repro.batch.tasks import (
     BatchCodecError,
     canonical_json,
@@ -415,11 +415,8 @@ class TestMetricsOp:
         path = str(tmp_path / "store")
         _serve_lines(_stream("hom", 8, seed=4), workers=1,
                      store_path=path, shards=4)
-        store = open_store(path)
-        try:
+        with TieredHomStore(path) as store:
             rows = store.stats()["counts"]
-        finally:
-            store.close()
         assert rows > 0
 
         async def body(service):

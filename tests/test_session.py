@@ -227,9 +227,9 @@ class TestStoreOwnership:
         session.close()
 
     def test_borrowed_store_not_closed(self, tmp_path):
-        from repro.batch.cache import SQLiteHomStore
+        from repro.batch.store import TieredHomStore
 
-        store = SQLiteHomStore(str(tmp_path / "shared.sqlite"))
+        store = TieredHomStore(str(tmp_path / "shared"))
         session = SolverSession(store=store)
         session.count(path_structure(["R"]), clique_structure(3))
         session.close()

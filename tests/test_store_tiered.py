@@ -6,18 +6,17 @@ import json
 
 import pytest
 
-from repro.batch.cache import SQLiteHomStore, StoreFormatError
 from repro.cli import main
 from repro.errors import ReproError
 from repro.hom.engine import HomEngine
 from repro.batch.store import (
     DEFAULT_SHARDS,
     MemoryTier,
+    StoreFormatError,
     TieredHomStore,
     copy_rows,
     export_warm_pack,
     import_warm_pack,
-    open_store,
     shard_of,
 )
 from repro.session import SolverSession
@@ -176,49 +175,64 @@ class TestTieredStore:
 
 
 # ----------------------------------------------------------------------
-# open_store routing
+# Every store_path opens the tiered store
 # ----------------------------------------------------------------------
 class TestOpenStore:
-    def test_plain_path_stays_single_file(self, tmp_path):
-        with open_store(str(tmp_path / "cache.sqlite")) as store:
-            assert isinstance(store, SQLiteHomStore)
+    def test_plain_path_becomes_store_directory(self, tmp_path):
+        path = tmp_path / "cache.sqlite"
+        with SolverSession(store_path=str(path)) as session:
+            assert isinstance(session.store, TieredHomStore)
+            assert session.store.shards == DEFAULT_SHARDS
+        assert (path / "meta.json").is_file()
 
     def test_knobs_opt_into_tiered(self, tmp_path):
-        with open_store(str(tmp_path / "a"), shards=2) as store:
-            assert isinstance(store, TieredHomStore)
-            assert store.shards == 2
-        with open_store(str(tmp_path / "b"), memory_tier=64) as store:
-            assert isinstance(store, TieredHomStore)
-            assert store.shards == DEFAULT_SHARDS
-            assert store.tier.capacity == 64
+        with SolverSession(store_path=str(tmp_path / "a"),
+                           shards=2) as session:
+            assert isinstance(session.store, TieredHomStore)
+            assert session.store.shards == 2
 
     def test_directory_is_tiered(self, tmp_path):
         path = str(tmp_path / "store")
         TieredHomStore(path, shards=2).close()
-        with open_store(path) as store:
-            assert isinstance(store, TieredHomStore)
-            assert store.shards == 2
+        with SolverSession(store_path=path) as session:
+            assert isinstance(session.store, TieredHomStore)
+            assert session.store.shards == 2
 
 
 # ----------------------------------------------------------------------
 # v2 -> v3 migration
 # ----------------------------------------------------------------------
 class TestMigration:
-    def test_v2_file_migrates_round_trip(self, tmp_path):
+    def test_v2_file_migrates_round_trip(self, tmp_path, write_v2_store):
         path = str(tmp_path / "cache.sqlite")
-        with SQLiteHomStore(path) as legacy:
-            for index, source in enumerate(_sources(10)):
-                legacy.record(source, TGT, index)
-            legacy.record_exists(SRC, TGT, True)
-        with open_store(path, shards=4) as migrated:
-            assert isinstance(migrated, TieredHomStore)
+        write_v2_store(path,
+                       counts=[(source, TGT, index)
+                               for index, source in enumerate(_sources(10))],
+                       exists=[(SRC, TGT, True)])
+        with TieredHomStore(path, shards=4) as migrated:
             for index, source in enumerate(_sources(10)):
                 assert migrated.lookup(source, TGT) == index
             assert migrated.lookup_exists(SRC, TGT) is True
             assert migrated.counts_len() == 10
             assert migrated.exists_len() == 1
+            assert migrated.corruptions == 0
         assert (tmp_path / "cache.sqlite").is_dir()
         assert (tmp_path / "cache.sqlite.v2-backup").is_file()
+        with TieredHomStore(path) as reopened:  # migrated exactly once
+            assert reopened.counts_len() == 10
+
+    def test_migration_keeps_recency(self, tmp_path, write_v2_store):
+        path = str(tmp_path / "cache.sqlite")
+        sources = _sources(6)
+        write_v2_store(path, counts=[(source, TGT, index)
+                                     for index, source in enumerate(sources)])
+        with TieredHomStore(path, shards=1) as migrated:
+            engine = HomEngine()
+            assert migrated.preload(engine, limit=2) == 2
+        # The two rows recorded last are the two seeded (sentinel
+        # counts: a recomputed path count into K4 is never this small).
+        assert engine.count(sources[-1], TGT) == 5
+        assert engine.count(sources[-2], TGT) == 4
 
     def test_future_version_refused_not_migrated(self, tmp_path):
         import sqlite3
@@ -304,24 +318,19 @@ class TestPreload:
 # Session metrics over a store
 # ----------------------------------------------------------------------
 class TestStoreMetrics:
-    @pytest.mark.parametrize("layout", ["single-file", "sharded"])
+    @pytest.mark.parametrize("layout", ["sharded"])
     def test_counters_snapshot_runs_no_sql(self, tmp_path, layout):
         # Row counts are gauges: the counters slice a batch worker
         # reports after every chunk must not scan the store for them.
-        if layout == "single-file":
-            path, knobs = str(tmp_path / "cache.sqlite"), {}
-        else:
-            path, knobs = str(tmp_path / "store"), {"shards": 2}
         statements = []
-        with SolverSession(store_path=path, **knobs) as session:
+        with SolverSession(store_path=str(tmp_path / "store"),
+                           shards=2) as session:
             for source in _sources(6):
                 session.count(source, TGT)
             session.flush()
             store = session.store
             store.stats()  # opens every shard file there is
-            connections = ([store._connection] if layout == "single-file"
-                           else list(store._connections.values()))
-            for connection in connections:
+            for connection in store._connections.values():
                 connection.set_trace_callback(statements.append)
             counters = session.metrics.counters_snapshot()
             assert statements == []
@@ -336,12 +345,12 @@ class TestStoreMetrics:
 # ----------------------------------------------------------------------
 class TestTooling:
     def test_copy_rows_between_layouts(self, tmp_path):
-        single = str(tmp_path / "cache.sqlite")
+        narrow = str(tmp_path / "narrow")
         sharded = str(tmp_path / "store")
-        with SQLiteHomStore(single) as source:
+        with TieredHomStore(narrow, shards=1) as source:
             for index, src in enumerate(_sources(8)):
                 source.record(src, TGT, index)
-        with SQLiteHomStore(single) as source, \
+        with TieredHomStore(narrow) as source, \
                 TieredHomStore(sharded, shards=4) as destination:
             assert copy_rows(source, destination) == 8
             for index, src in enumerate(_sources(8)):
@@ -410,9 +419,9 @@ class TestTooling:
                      "--output", str(pack), "--limit", "64"]) == 0
         assert "packed" in capsys.readouterr().out
 
-        with open_store(str(cache_a)) as source:
+        with TieredHomStore(str(cache_a)) as source:
             source_counts = source.counts_len()
-        with open_store(str(merged)) as store:
+        with TieredHomStore(str(merged)) as store:
             info = store.info()
             assert info["schema_version"] == 3
             assert info["shards"] == 4
@@ -427,7 +436,7 @@ class TestTooling:
         info = json.loads(capsys.readouterr().out)
         assert info["shards"] == 2
         assert info["counts"] == 1
-        assert info["memory_tier"]["capacity"] > 0
+        assert info["tier"]["capacity"] > 0
         assert [s["index"] for s in info["shard_files"]] == [0, 1]
 
 
@@ -448,8 +457,7 @@ class TestWorkerParity:
             ("w3-s2", ["--workers", "3", "--chunk-size", "4", "--cache",
                        str(tmp_path / "c1"), "--shards", "2"]),
             ("w3-s5", ["--workers", "3", "--chunk-size", "4", "--cache",
-                       str(tmp_path / "c2"), "--shards", "5",
-                       "--memory-tier", "128"]),
+                       str(tmp_path / "c2"), "--shards", "5"]),
         ]:
             out = tmp_path / f"out-{label}.jsonl"
             assert main(["batch", "run", "--input", str(scenario),
