@@ -64,7 +64,12 @@ from repro.faults.inject import (
 )
 from repro.obs.metrics import merge_counter_snapshots
 from repro.obs.trace import span
-from repro.batch.tasks import DecodedTask, canonical_json, decode_task
+from repro.batch.tasks import (
+    VALID_KINDS,
+    DecodedTask,
+    canonical_json,
+    decode_task,
+)
 from repro.core.decision import decide_bag_determinacy
 from repro.core.pathdet import decide_path_determinacy
 from repro.hom.containment import is_contained_set
@@ -172,6 +177,13 @@ def evaluate_envelope(line: str, context: Context) -> Dict:
         }
     except ReproError as exc:
         session.record_task(ok=False)
+        if task_id is None:
+            # A rejected line still names its task, so --resume finds
+            # it answered; a kind the codec does not know stays null
+            # (the daemon keeps one counter per kind).
+            task_id, kind = task_identity(line)
+            if kind not in VALID_KINDS:
+                kind = None
         return {
             "id": task_id,
             "kind": kind,

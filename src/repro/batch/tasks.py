@@ -42,14 +42,15 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from functools import lru_cache
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import ReproError
+from repro.obs.metrics import PROCESS_METRICS
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.path import PathQuery
 from repro.queries.ucq import UnionOfBooleanCQs
 from repro.structures.serialization import (
-    SerializationError,
     from_dict,
     structure_from_dict,
     structure_to_dict,
@@ -180,15 +181,86 @@ def encode_task(record: Dict[str, Any]) -> str:
     return canonical_json(record)
 
 
+# Sized like the canonical_key and component-certificate memos (E22).
+DECODE_MEMO_SIZE = 1024
+
+# The memo key: a payload's JSON text in its own key order.  Over the
+# values json.loads builds it is exact (1, 1.0 and true differ, and so
+# do two orders of one object, which from_dict may read in order, as
+# in ``"letters": {"B": 0, "A": 0}``); sorted keys would not be.  Those
+# values hold no cycles, so the encoder skips its cycle check.
+_PAYLOAD_TEXT = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+_MEMO_KINDS = ("cq", "ucq")
+
+
+@lru_cache(maxsize=DECODE_MEMO_SIZE)
+def query_from_text(text: str):
+    """The query a payload's JSON text decodes to, memoized
+    process-wide (a failed decode raises and is not cached)."""
+    return from_dict(json.loads(text))
+
+
+def _memoized_from_dict(payload):
+    """:func:`from_dict` through :func:`query_from_text`.
+
+    Views recur across a corpus, so each distinct CQ or UCQ payload is
+    decoded once and every repeat shares one immutable query and its
+    cached frozen body: the engine's and the store's memos then hit by
+    identity.  Structures stay out: ``hom-count`` sources are mostly
+    one-off, so they would only fill the memo.  Path words stay out
+    too: one builds in about a microsecond, less than its key costs,
+    and the path decider keeps nothing per query.
+    """
+    if isinstance(payload, dict) and payload.get("kind") in _MEMO_KINDS:
+        return query_from_text(_PAYLOAD_TEXT.encode(payload))
+    return from_dict(payload)
+
+
+# Process-wide, like intern.* and canonical.*: every session's
+# snapshot carries them.
+def _decode_counters() -> Dict[str, int]:
+    info = query_from_text.cache_info()
+    return {"decode.hits": info.hits, "decode.misses": info.misses}
+
+
+def _decode_gauges() -> Dict[str, int]:
+    return {"decode.cached": query_from_text.cache_info().currsize}
+
+
+PROCESS_METRICS.register_collector(_decode_counters, monotonic=True)
+PROCESS_METRICS.register_collector(_decode_gauges, monotonic=False)
+
+
+def _decode_payload(task_id: str, label: str, payload,
+                    decode: Callable[[Any], Any], expected: type = object):
+    try:
+        value = decode(payload)
+    except (ReproError, AttributeError, TypeError) as exc:
+        raise BatchCodecError(
+            f"task {task_id}: bad {label} payload: {exc}") from exc
+    if not isinstance(value, expected):
+        raise BatchCodecError(
+            f"task {task_id}: {label} must decode to {expected.__name__}, "
+            f"got {type(value).__name__}")
+    return value
+
+
 def decode_task(line: "str | Dict[str, Any]") -> DecodedTask:
-    """Parse and validate one task line (or already-parsed record)."""
+    """Parse and validate one task line (or already-parsed record).
+
+    The query payloads of a line go through the payload memo; a record
+    handed in as a dict is decoded afresh, since its values need not be
+    the JSON types the memo's key is exact for.
+    """
     if isinstance(line, str):
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise BatchCodecError(f"invalid JSON task line: {exc}") from exc
+        decode_query = _memoized_from_dict
     else:
         record = line
+        decode_query = from_dict
     if not isinstance(record, dict):
         raise BatchCodecError(f"task must be a JSON object, got {type(record).__name__}")
 
@@ -211,54 +283,35 @@ def decode_task(line: "str | Dict[str, Any]") -> DecodedTask:
         deadline_ms = float(deadline_ms)
 
     if kind == "hom-count":
-        payloads = {}
-        for label in ("source", "target"):
-            payload = record.get(label)
-            try:
-                payloads[label] = structure_from_dict(payload)
-            except (SerializationError, AttributeError, TypeError) as exc:
-                raise BatchCodecError(
-                    f"task {task_id}: bad {label} payload: {exc}") from exc
         return DecodedTask(
             id=task_id,
             kind=kind,
             record=record,
             query=None,
-            source=payloads["source"],
-            target=payloads["target"],
+            source=_decode_payload(task_id, "source", record.get("source"),
+                                   structure_from_dict),
+            target=_decode_payload(task_id, "target", record.get("target"),
+                                   structure_from_dict),
             deadline_ms=deadline_ms,
         )
 
     expected = _QUERY_TYPES[kind]
-    try:
-        query = from_dict(record.get("query"))
-    except SerializationError as exc:
-        raise BatchCodecError(f"task {task_id}: bad query payload: {exc}") from exc
-    _require_type(task_id, "query", query, expected)
-
+    query = _decode_payload(task_id, "query", record.get("query"),
+                            decode_query, expected)
     views: Tuple[Any, ...] = ()
     container: Optional[ConjunctiveQuery] = None
     if kind == "containment":
-        try:
-            container = from_dict(record.get("container"))
-        except SerializationError as exc:
-            raise BatchCodecError(
-                f"task {task_id}: bad container payload: {exc}") from exc
-        _require_type(task_id, "container", container, expected)
+        container = _decode_payload(task_id, "container",
+                                    record.get("container"), decode_query,
+                                    expected)
     else:
         raw_views = record.get("views", [])
         if not isinstance(raw_views, list):
             raise BatchCodecError(f"task {task_id}: 'views' must be a list")
-        decoded: List[Any] = []
-        for position, payload in enumerate(raw_views):
-            try:
-                view = from_dict(payload)
-            except SerializationError as exc:
-                raise BatchCodecError(
-                    f"task {task_id}: bad view #{position}: {exc}") from exc
-            _require_type(task_id, f"view #{position}", view, expected)
-            decoded.append(view)
-        views = tuple(decoded)
+        views = tuple(
+            _decode_payload(task_id, f"view #{position}", payload,
+                            decode_query, expected)
+            for position, payload in enumerate(raw_views))
 
     return DecodedTask(
         id=task_id,
@@ -280,10 +333,3 @@ def task_seed(record: Dict[str, Any]) -> int:
     ``hash`` is salted per process and useless here).
     """
     return zlib.crc32(canonical_json(record).encode("utf-8"))
-
-
-def _require_type(task_id: str, label: str, value, expected: type) -> None:
-    if not isinstance(value, expected):
-        raise BatchCodecError(
-            f"task {task_id}: {label} must decode to {expected.__name__}, "
-            f"got {type(value).__name__}")

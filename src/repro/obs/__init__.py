@@ -37,6 +37,8 @@ name                                  kind       meaning
 ``intern.structures`` / ``.hits``     counter    shared intern layer
 ``canonical.keys`` / ``.hits``        counter    canonical labelings
 ``intern.cached`` / ``canonical.cached``  gauge  live lru sizes
+``decode.hits`` / ``.misses``         counter    query payload memo
+``decode.cached``                     gauge      live payload memo size
 ``bitset.propagations``               counter    bitset domain narrowings
 ``bitset.fallbacks``                  counter    set-kernel fallbacks
 ``dp.packed.fallbacks``               counter    packed-DP fallbacks
@@ -82,10 +84,13 @@ name                                  kind       meaning
 ====================================  =========  ========================
 
 The ``budget.*`` counters live in :mod:`repro.faults.budget` and
-surface through ``engine.stats()``; the ``batch.*`` fault counters
-merge from worker processes into ``run_batch``'s summary ``metrics``
-block (and its ``retries``/``worker_restarts``/``quarantined``
-top-level fields).
+surface through ``engine.stats()``; the ``decode.*`` figures are the
+batch codec's process-wide payload memo
+(:func:`repro.batch.tasks.query_from_text`), which reports through
+``metrics.PROCESS_METRICS``, the registry every session attaches; the
+``batch.*`` fault counters merge from worker processes into
+``run_batch``'s summary ``metrics`` block (and its
+``retries``/``worker_restarts``/``quarantined`` top-level fields).
 
 Histograms bucket by powers of two: a value ``v`` lands in the bucket
 labeled ``2**v.bit_length()`` — the least power of two strictly greater

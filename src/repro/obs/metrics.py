@@ -267,6 +267,12 @@ class MetricsRegistry:
                 f"children={len(self._children)})")
 
 
+#: Process-wide layers above the engine (the batch codec's payload
+#: memo) register their collectors here; every session attaches it, so
+#: a layer the session cannot import still reports in its snapshots.
+PROCESS_METRICS = MetricsRegistry()
+
+
 def _prom_name(name: str) -> str:
     return name.replace(".", "_").replace("-", "_")
 

@@ -112,7 +112,9 @@ class ConjunctiveQuery:
         self.atoms = frozenset(normalized)
 
         seen_arities: Dict[str, int] = {}
-        for atom in self.atoms:
+        # In the caller's order, not the set's: an error names the same
+        # atoms under every hash seed.
+        for atom in normalized:
             previous = seen_arities.get(atom.relation)
             if previous is not None and previous != atom.arity:
                 raise QueryError(
@@ -130,11 +132,15 @@ class ConjunctiveQuery:
 
         body_variables = {v for atom in self.atoms for v in atom.variables}
         self.free = tuple(free)
+        extra = tuple(extra_variables)
+        for variable in self.free + extra:
+            if not isinstance(variable, str) or not variable:
+                raise QueryError(f"variables must be non-empty strings, got {variable!r}")
         duplicates = len(self.free) != len(set(self.free))
         if duplicates:
             raise QueryError(f"free variables must be distinct, got {self.free}")
         missing_free = [v for v in self.free if v not in body_variables]
-        self.extra_variables = frozenset(extra_variables) | frozenset(missing_free)
+        self.extra_variables = frozenset(extra) | frozenset(missing_free)
         self._schema = schema
         self._frozen: Optional[Structure] = None
 

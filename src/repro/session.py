@@ -44,7 +44,7 @@ from typing import Dict, Optional
 from repro.errors import ReproError
 from repro.faults.budget import Budget
 from repro.hom.engine import STRATEGIES, HomEngine
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import PROCESS_METRICS, MetricsRegistry
 
 
 class SolverSession:
@@ -154,10 +154,10 @@ class SolverSession:
                 if seeder is not None:
                     seeder(self.engine, limit=preload)
         # The session's metrics registry: request accounting lives
-        # here, the engine's registry is attached (one snapshot walks
-        # both), and the persistent store's counters are pulled in
-        # through collectors that read whatever store is *currently*
-        # attached to the engine.
+        # here, the engine's registry and the process-wide one are
+        # attached (one snapshot walks all three), and the persistent
+        # store's counters are pulled in through collectors that read
+        # whatever store is *currently* attached to the engine.
         metrics = MetricsRegistry()
         self.metrics = metrics
         self._m_tasks = metrics.counter("session.tasks.evaluated")
@@ -169,6 +169,7 @@ class SolverSession:
         metrics.register_collector(self._collect_store_gauges,
                                    monotonic=False)
         metrics.attach(self.engine.metrics)
+        metrics.attach(PROCESS_METRICS)
         self._closed = False
 
     # Legacy attribute surface over the registry-homed counters.

@@ -421,6 +421,41 @@ class TestRunner:
         assert record["ok"] is False
         assert record["id"] is None
 
+    @pytest.mark.parametrize("query", [
+        {"kind": "cq", "atoms": [["R", [1, 2]]]},
+        {"kind": "cq", "atoms": [["", ["x"]]]},
+        {"kind": "cq", "atoms": [["R", ["x"]], ["R", ["x", "y"]]]},
+        {"kind": "cq", "atoms": [["R", ["x"]]], "free": [True]},
+        {"kind": "ucq", "disjuncts": [3]},
+        {"kind": "path", "letters": 3},
+    ])
+    def test_rejected_payload_names_its_task(self, query):
+        line = json.dumps({"id": "t9", "kind": "decide-cq", "views": [],
+                           "query": query})
+        record = json.loads(evaluate_line(line, HomEngine()))
+        assert record["ok"] is False
+        assert (record["id"], record["kind"]) == ("t9", "decide-cq")
+        assert record["error"].startswith(
+            "BatchCodecError: task t9: bad query payload: ")
+
+    def test_unknown_kind_keeps_its_id_but_not_its_kind(self):
+        record = json.loads(evaluate_line(
+            '{"id": "t9", "kind": "nope"}', HomEngine()))
+        assert (record["id"], record["kind"]) == ("t9", None)
+
+    def test_resume_answers_rejected_lines_once(self, tmp_path):
+        tasks = tmp_path / "tasks.jsonl"
+        good = _scenario_lines("path", 1, seed=8)[0]
+        bad = ('{"id": "bad", "kind": "decide-path", "views": [], '
+               '"query": {"kind": "path", "letters": [1]}}')
+        tasks.write_text(good + "\n" + bad + "\n")
+        output = tmp_path / "out.jsonl"
+        for _ in range(3):
+            run_batch(str(tasks), str(output), workers=1, resume=True)
+        lines = output.read_text().splitlines()
+        assert sorted(_line_id_of(line) for line in lines) == \
+            sorted([_line_id_of(good), "bad"])
+
 
 class TestWorkerPool:
     """The forked workers on socketpair pipes behind ``workers > 1``."""

@@ -40,6 +40,19 @@ class TestConjunctiveQuery:
         with pytest.raises(QueryError):
             ConjunctiveQuery([("R", ("x", "y"))], free=("x", "x"))
 
+    @pytest.mark.parametrize("field", ["free", "extra_variables"])
+    @pytest.mark.parametrize("variable", [1, 1.0, True, None, ""])
+    def test_non_string_variables_rejected(self, field, variable):
+        with pytest.raises(QueryError,
+                           match="variables must be non-empty strings"):
+            ConjunctiveQuery([("R", ("x",))], **{field: [variable]})
+
+    def test_inconsistent_arity_error_follows_atom_order(self):
+        with pytest.raises(QueryError, match="arities 1 and 2"):
+            boolean_cq([("R", ("x",)), ("R", ("x", "y"))])
+        with pytest.raises(QueryError, match="arities 2 and 1"):
+            boolean_cq([("R", ("x", "y")), ("R", ("x",))])
+
     def test_duplicate_atoms_collapse(self):
         q = boolean_cq([("R", ("x", "y")), ("R", ("x", "y"))])
         assert len(q.atoms) == 1
