@@ -12,7 +12,7 @@ Three axes, mirroring the DESIGN.md §6.5 architecture:
   textbook Fraction-Gauss reference on an ill-conditioned radix-style
   matrix (the shape Lemma 46 produces).
 
-``python -m repro.cli bench --json`` runs the same workloads outside
+``python -m repro.cli bench run --json`` runs the same workloads outside
 pytest and records them in ``BENCH_engine.json``.
 """
 
@@ -21,9 +21,10 @@ import random
 import pytest
 
 from repro.hom.count import count_homs
-from repro.hom.engine import HomEngine, default_engine
+from repro.hom.engine import HomEngine
 from repro.hom.search import count_homomorphisms_direct
 from repro.linalg.matrix import QMatrix, gaussian_det
+from repro.session import default_session
 from repro.structures.components import connected_components
 from repro.structures.generators import clique_structure, path_structure
 from repro.structures.operations import sum_with_multiplicities
@@ -57,7 +58,7 @@ def test_ablation_direct_large_target(benchmark, target_size):
 def test_memoized_engine_steady_state(benchmark):
     """The path the decision pipeline actually sees: warm shared engine."""
     target = clique_structure(8)
-    engine = default_engine()
+    engine = default_session().engine
     engine.count(PATH3, target)
     assert benchmark(engine.count, PATH3, target) == 8 * 7 ** 3
 

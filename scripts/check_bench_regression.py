@@ -8,7 +8,7 @@ package is (not) installed.
 
 Usage::
 
-    python -m repro.cli bench --json --output bench_ci.json --repeat 5
+    python -m repro.cli bench run --json --output bench_ci.json --repeat 5
     python scripts/check_bench_regression.py \
         --baseline BENCH_engine.json --current bench_ci.json --factor 2.0
 

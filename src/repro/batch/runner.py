@@ -43,7 +43,7 @@ import socket
 import sys
 import time
 from collections import deque
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.batch.pipe import (
     PIPE_DEPTH,
@@ -73,7 +73,6 @@ from repro.batch.tasks import (
 from repro.core.decision import decide_bag_determinacy
 from repro.core.pathdet import decide_path_determinacy
 from repro.hom.containment import is_contained_set
-from repro.hom.engine import HomEngine
 from repro.session import SolverSession
 from repro.ucq.analysis import linear_certificate
 
@@ -90,27 +89,13 @@ _STOP_TIMEOUT = 30.0
 # that runs long stalls the stream instead of buffering all of it.
 _RUN_AHEAD_CHUNKS = 64
 
-Context = Union[SolverSession, HomEngine]
-
-
-def _as_session(context: Context) -> SolverSession:
-    """Adopt the legacy bare-engine calling convention into a session."""
-    if isinstance(context, SolverSession):
-        return context
-    return SolverSession(engine=context)
-
 
 # ----------------------------------------------------------------------
 # Single-task evaluation
 # ----------------------------------------------------------------------
-def evaluate_task(task: DecodedTask, context: Context) -> Dict:
-    """The result record (without envelope) for one decoded task.
-
-    ``context`` is the :class:`~repro.session.SolverSession` the task
-    runs under (a bare :class:`~repro.hom.engine.HomEngine` is adopted
-    for backward compatibility).
-    """
-    session = _as_session(context)
+def evaluate_task(task: DecodedTask, session: SolverSession) -> Dict:
+    """The result record (without envelope) for one decoded task,
+    evaluated under ``session``."""
     if task.kind == "decide-cq":
         result = decide_bag_determinacy(list(task.views), task.query,
                                         session=session)
@@ -150,10 +135,9 @@ def evaluate_task(task: DecodedTask, context: Context) -> Dict:
     raise ReproError(f"unhandled task kind {task.kind!r}")  # pragma: no cover
 
 
-def evaluate_envelope(line: str, context: Context) -> Dict:
+def evaluate_envelope(line: str, session: SolverSession) -> Dict:
     """The full result record for one task line; never raises on
     library errors — they become ``{"ok": false}`` records."""
-    session = _as_session(context)
     task_id, kind = None, None
     try:
         with span("parse"):
@@ -196,11 +180,11 @@ def evaluate_envelope(line: str, context: Context) -> Dict:
     return envelope
 
 
-def evaluate_line(line: str, context: Context) -> str:
+def evaluate_line(line: str, session: SolverSession) -> str:
     """One canonical result line for one task line (see
     :func:`evaluate_envelope`, which the request service consumes
     directly to avoid re-parsing its own output)."""
-    return canonical_json(evaluate_envelope(line, context))
+    return canonical_json(evaluate_envelope(line, session))
 
 
 # ----------------------------------------------------------------------
@@ -222,7 +206,10 @@ def _init_worker(cache_path: Optional[str], preload: int,
         install_fault_plan(FaultPlan(fault_spec))
     _WORKER_SESSION = SolverSession(store_path=cache_path, preload=preload,
                                     shards=shards)
-    _WORKER_LAST_METRICS = {}
+    # The baseline is the fresh session's own snapshot: the
+    # process-wide counters (intern, canonical, decode) arrive already
+    # moved by the parent, and the parent counted that work itself.
+    _WORKER_LAST_METRICS = _WORKER_SESSION.metrics.counters_snapshot()
 
 
 def _metrics_delta() -> Dict[str, float]:

@@ -1,6 +1,6 @@
 """Machine-readable micro-benchmarks for the counting engine.
 
-``python -m repro.cli bench --json`` runs this suite and writes
+``python -m repro.cli bench run --json`` runs this suite and writes
 ``BENCH_engine.json`` so the perf trajectory can be tracked PR over PR
 (EXPERIMENTS.md records the history).  The workloads mirror the
 E-series benchmarks in ``benchmarks/``:
@@ -563,12 +563,9 @@ def run_benchmarks(repeat: int = 3) -> Dict[str, object]:
         "speedup": gauss / bareiss if bareiss else float("inf"),
     }
 
-    # One copy of each stats block: the engine counters under the
-    # established engine_stats key, the session-level remainder
-    # (task accounting, strategy) under session_stats.
-    session_report = default_session().stats()
-    report["engine_stats"] = session_report.pop("engine")
-    report["session_stats"] = session_report
+    # The default session's registry snapshot (repro.obs schema): its
+    # engine's counters, the process-wide layers and task accounting.
+    report["engine_stats"] = default_session().stats()
     return report
 
 

@@ -53,12 +53,6 @@ one client context — ``--host``/``--port``/``--timeout`` — and speak
 the same JSONL control protocol the daemon serves inline
 (``{"op": "stats"}`` request lines).
 
-The pre-grouping flat spellings (``decide-cq``, ``decide-path``,
-``certify-ucq``, bare ``bench``/``serve``, ``batch cache``) keep
-working as hidden deprecated aliases: they are rewritten to the
-grouped form before parsing and print one deprecation notice per
-process on stderr.
-
 Examples
 --------
 ::
@@ -92,62 +86,6 @@ from repro.core.report import render_report
 from repro.ucq.analysis import linear_certificate, semidecide_reduction_determinacy
 from repro.ucq.hilbert import DiophantineInstance, Monomial
 from repro.ucq.reduction import build_reduction
-
-
-# ----------------------------------------------------------------------
-# Legacy flat spellings (hidden deprecated aliases)
-# ----------------------------------------------------------------------
-# Old flat command -> grouped replacement.  Handled before argparse ever
-# sees the argv, so the aliases stay out of --help while every existing
-# script, CI job and doc example keeps working.
-_LEGACY_COMMANDS = {
-    "decide-cq": ["decide", "cq"],
-    "decide-path": ["decide", "path"],
-    "certify-ucq": ["decide", "ucq"],
-}
-
-# Groups whose bare legacy spelling (``repro serve --port N``) now needs
-# a verb: anything that is not one of the group's verbs gets the default
-# verb spliced in.
-_GROUP_VERBS = {
-    "serve": ("start", "ping", "stats", "metrics", "drain", "load"),
-    "bench": ("run", "check"),
-}
-_GROUP_DEFAULTS = {"serve": "start", "bench": "run"}
-
-_DEPRECATION_WARNED = False
-
-
-def _warn_deprecated(old: str, new: str) -> None:
-    """One deprecation notice per process, on stderr (never stdout —
-    the serve/batch protocol streams own stdout byte-for-byte)."""
-    global _DEPRECATION_WARNED
-    if _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED = True
-    print(f"repro: '{old}' is deprecated; use '{new}'", file=sys.stderr)
-
-
-def _rewrite_legacy(argv: List[str]) -> List[str]:
-    """Map pre-grouping flat spellings onto the grouped command tree."""
-    if not argv:
-        return argv
-    head, rest = argv[0], argv[1:]
-    if head in _LEGACY_COMMANDS:
-        replacement = _LEGACY_COMMANDS[head]
-        _warn_deprecated(head, " ".join(["repro"] + replacement))
-        return replacement + rest
-    if head == "batch" and rest[:1] == ["cache"]:
-        _warn_deprecated("batch cache", "repro cache info")
-        return ["cache", "info"] + rest[1:]
-    if head in _GROUP_VERBS:
-        nxt = rest[0] if rest else None
-        if nxt in _GROUP_VERBS[head] or nxt in ("-h", "--help"):
-            return argv
-        default = _GROUP_DEFAULTS[head]
-        _warn_deprecated(head, f"repro {head} {default}")
-        return [head, default] + rest
-    return argv
 
 
 # ----------------------------------------------------------------------
@@ -819,10 +757,9 @@ def build_parser() -> argparse.ArgumentParser:
     load.add_argument("--requests", type=int, default=25, metavar="N",
                       help="requests per client (default: 25)")
     load.add_argument("--transport", default="persistent",
-                      choices=["per-request", "persistent", "ws"],
-                      help="per-request = dial per request (legacy "
-                           "client); persistent = one reused connection "
-                           "per client; ws = WebSocket via --http-port "
+                      choices=["persistent", "ws"],
+                      help="persistent = one reused connection per "
+                           "client; ws = WebSocket via --http-port "
                            "(default: persistent)")
     load.add_argument("--tasks", type=int, default=8, metavar="N",
                       help="distinct task lines cycled through "
@@ -841,10 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(_rewrite_legacy(list(argv)))
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except ReproError as error:

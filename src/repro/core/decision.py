@@ -27,7 +27,6 @@ from typing import Optional, Sequence, Tuple
 
 from repro.errors import DecisionError
 from repro.hom.containment import views_containing
-from repro.hom.engine import HomEngine
 from repro.linalg.span import span_coefficients
 from repro.session import SolverSession, resolve_session
 from repro.queries.cq import ConjunctiveQuery
@@ -141,7 +140,6 @@ class BooleanDeterminacyResult:
 def decide_bag_determinacy(
     views: Sequence[ConjunctiveQuery],
     query: ConjunctiveQuery,
-    engine: Optional[HomEngine] = None,
     session: Optional[SolverSession] = None,
 ) -> BooleanDeterminacyResult:
     """Decide ``V0 →bag q`` for boolean conjunctive queries (Theorem 3).
@@ -149,15 +147,14 @@ def decide_bag_determinacy(
     ``session`` is the solver context the containment probes and, later,
     witness construction run under; it defaults to the process-wide
     session so repeated decisions over the same catalog reuse every
-    compiled target and memoized count.  ``engine`` is the pre-session
-    calling convention and is adopted into a session when given.
+    compiled target and memoized count.
 
     >>> from repro.queries.parser import parse_boolean_cq
     >>> q = parse_boolean_cq("R(x,y)")
     >>> decide_bag_determinacy([q], q).determined
     True
     """
-    session = resolve_session(session, engine)
+    session = resolve_session(session)
     validate_for_component_basis(query)
     for view in views:
         validate_for_component_basis(view)

@@ -84,16 +84,16 @@ def construct_good_basis(
     irrelevant_views: Sequence[ConjunctiveQuery] = (),
     rng: Optional[random.Random] = None,
     distinguisher_budget: int = 5000,
-    engine: Optional[HomEngine] = None,
     session: Optional[SolverSession] = None,
 ) -> GoodBasis:
     """Build a good set of basis structures for ``components`` and ``q``.
 
     ``irrelevant_views`` are ``V0 \\ V``; decency against them is
     verified before returning.  All counting runs under ``session``
-    (or an adopted ``engine``; default: the process-wide session).
+    (default: the process-wide session).
     """
-    engine = resolve_session(session, engine).engine
+    session = resolve_session(session)
+    engine = session.engine
     rng = rng or random.Random(0x5EED)
     ambient = _ambient_schema(components, query, irrelevant_views)
     k = len(components)
@@ -115,7 +115,8 @@ def construct_good_basis(
 
     # ------------------------------------------------------------- Step 1
     distinguishers = find_distinguishers(
-        components, ambient, rng=rng, budget=distinguisher_budget, engine=engine
+        components, ambient, rng=rng, budget=distinguisher_budget,
+        session=session,
     )
 
     # ------------------------------------------------------------- Step 2
@@ -178,7 +179,6 @@ def find_distinguishers(
     ambient: Schema,
     rng: Optional[random.Random] = None,
     budget: int = 5000,
-    engine: Optional[HomEngine] = None,
     session: Optional[SolverSession] = None,
 ) -> List[Structure]:
     """A finite set ``S⁽¹⁾`` with: for every pair ``w ≠ w'`` some
@@ -189,7 +189,7 @@ def find_distinguishers(
     :class:`SearchExhaustedError` when the budget runs out (never
     observed on real inputs; the budget guards pathological schemas).
     """
-    engine = resolve_session(session, engine).engine
+    engine = resolve_session(session).engine
     rng = rng or random.Random(0x5EED)
     chosen: List[Structure] = []
     pairs = [

@@ -34,7 +34,6 @@ from typing import Optional, Sequence, Tuple
 
 from repro.errors import DecisionError
 from repro.hom.count import Cache, count_homs
-from repro.hom.engine import HomEngine
 from repro.linalg.cone import SimplicialCone, perturb
 from repro.session import SolverSession, resolve_session
 from repro.linalg.orthogonal import integer_orthogonal_witness
@@ -107,9 +106,8 @@ class CounterexamplePair:
         algebra that produced the pair.  The default dict cache routes
         leaf counts through the *naive* recursive backtracker, keeping
         the audit independent of the compiled engine that produced the
-        decision; pass a :class:`~repro.hom.engine.HomEngine` or a
-        :class:`~repro.session.SolverSession` to trade that
-        independence for speed."""
+        decision; pass a :class:`~repro.hom.engine.HomEngine` to trade
+        that independence for speed."""
         if cache is None:
             cache = {}
         query_answers = (
@@ -176,7 +174,6 @@ def construct_counterexample(
     result,
     rng: Optional[random.Random] = None,
     distinguisher_budget: int = 5000,
-    engine: Optional[HomEngine] = None,
     session: Optional[SolverSession] = None,
 ) -> CounterexamplePair:
     """Build the counterexample pair for a failed span test.
@@ -189,9 +186,9 @@ def construct_counterexample(
     """
     if result.coefficients is not None:
         raise DecisionError("the views determine the query; no counterexample exists")
-    if session is None and engine is None:
+    if session is None:
         session = result.session
-    session = resolve_session(session, engine)
+    session = resolve_session(session)
     irrelevant = tuple(
         v for v in result.views if v not in set(result.relevant_views)
     )

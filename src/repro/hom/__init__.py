@@ -40,7 +40,6 @@ from repro.hom.engine import (
     SourcePlan,
     TargetIndex,
     choose_strategy,
-    default_engine,
 )
 from repro.hom.decompose import (
     NiceDecomposition,
@@ -75,7 +74,6 @@ __all__ = [
     "SourcePlan",
     "TargetIndex",
     "choose_strategy",
-    "default_engine",
     "NiceDecomposition",
     "TreeDecomposition",
     "decompose",

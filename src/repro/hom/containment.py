@@ -19,21 +19,18 @@ from typing import Optional
 from repro.errors import QueryError
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.ucq import UnionOfBooleanCQs
-from repro.hom.engine import HomEngine
 from repro.session import SolverSession, resolve_session
 
 
 def is_contained_set(
     query: ConjunctiveQuery,
     container: ConjunctiveQuery,
-    engine: Optional[HomEngine] = None,
     session: Optional[SolverSession] = None,
 ) -> bool:
     """``query ⊆set container`` for boolean CQs (Chandra–Merlin).
 
     The existence probe runs on the compiled engine (shared target
-    indexes + memoized verdicts); pass ``session`` (or a bare
-    ``engine``) to scope the memo.
+    indexes + memoized verdicts); pass ``session`` to scope the memo.
 
     >>> from repro.queries.parser import parse_boolean_cq
     >>> q = parse_boolean_cq("R(x,y), R(y,z)")
@@ -45,7 +42,7 @@ def is_contained_set(
     """
     _require_boolean(query)
     _require_boolean(container)
-    session = resolve_session(session, engine)
+    session = resolve_session(session)
     return session.exists(container.frozen_body(), query.frozen_body())
 
 
@@ -68,13 +65,12 @@ def is_contained_set_ucq(query: UnionOfBooleanCQs, container: UnionOfBooleanCQs)
 def views_containing(
     query: ConjunctiveQuery,
     views,
-    engine: Optional[HomEngine] = None,
     session: Optional[SolverSession] = None,
 ) -> list:
     """Definition 25: the sublist of ``views`` that ``query`` is
     ⊆set-contained in (these are the views that can never answer 0 on a
     structure where ``q`` answers positively)."""
-    session = resolve_session(session, engine)
+    session = resolve_session(session)
     return [view for view in views
             if is_contained_set(query, view, session=session)]
 

@@ -20,15 +20,14 @@ Strategy (all identities are Lemma 4 of the paper):
      membership.
 
 Counts of (component, leaf) pairs are memoized through the compiled
-engine of :mod:`repro.hom.engine`: pass no cache to use the shared
-process-wide :class:`~repro.hom.engine.HomEngine` (targets compiled
-once, counts shared across isomorphic components, each leaf count
-routed to backtracking or tree-decomposition DP by the engine's cost
-model — see DESIGN.md §9), pass ``session=`` (or a
-:class:`~repro.session.SolverSession` / a
+engine of :mod:`repro.hom.engine`: pass no cache to count under the
+default :class:`~repro.session.SolverSession`'s engine (targets
+compiled once, counts shared across isomorphic components, each leaf
+count routed to backtracking or tree-decomposition DP by the engine's
+cost model — see DESIGN.md §9), pass ``session=`` (or a
 :class:`~repro.hom.engine.HomEngine` as the cache) to scope the
 memoization (or to force a backend via the ``strategy`` knob), or pass
-a plain ``dict`` for the legacy exact-key cache — dict-cached counting
+a plain ``dict`` for the exact-key cache — dict-cached counting
 deliberately runs the *naive* recursive backtracker, so it stays an
 independent audit path for engine-produced results (the witness
 verifier relies on this).
@@ -49,27 +48,13 @@ from repro.structures.expression import (
     as_expression,
 )
 from repro.structures.structure import Structure
-from repro.hom.engine import HomEngine, default_engine
+from repro.hom.engine import HomEngine
 from repro.hom.search import count_homomorphisms_direct
-from repro.session import SolverSession
+from repro.session import SolverSession, resolve_session
 
 Target = Structure | StructureExpression
 CountCache = Dict[Tuple[Structure, Structure], int]
-Cache = Union[CountCache, HomEngine, SolverSession, None]
-
-
-def _unwrap(cache: Cache, session: Optional[SolverSession]) -> Cache:
-    """Collapse the cache/session calling conventions onto one value.
-
-    An explicit ``session`` wins (its engine carries the memo); a
-    :class:`SolverSession` passed *as* the cache is unwrapped to its
-    engine; dicts and engines pass through untouched.
-    """
-    if session is not None:
-        return session.engine
-    if isinstance(cache, SolverSession):
-        return cache.engine
-    return cache
+Cache = Union[CountCache, HomEngine, None]
 
 
 def count_homs(
@@ -84,7 +69,8 @@ def count_homs(
     >>> count_homs(path_structure(['R']), path_structure(['R', 'R']))
     2
     """
-    cache = _unwrap(cache, session)
+    if session is not None:
+        cache = session.engine
     expression = as_expression(target)
     total = 1
     for component in connected_components(source):
@@ -101,8 +87,9 @@ def count_homs_connected(
     session: Optional[SolverSession] = None,
 ) -> int:
     """Count for a source already known to be connected (no re-split)."""
-    return _count_connected(component, as_expression(target),
-                            _unwrap(cache, session))
+    if session is not None:
+        cache = session.engine
+    return _count_connected(component, as_expression(target), cache)
 
 
 def _count_connected(
@@ -155,8 +142,8 @@ def _count_into_leaf(
         if not only.terms:
             return 1 if leaf.has_fact(only.relation) else 0
     if cache is None:
-        return default_engine().count_connected_leaf(component, leaf)
-    # Legacy dict cache: exact (component, leaf) keys, caller-owned,
+        return resolve_session().engine.count_connected_leaf(component, leaf)
+    # Dict cache: exact (component, leaf) keys, caller-owned,
     # counted by the naive recursive backtracker.  This path is kept
     # *independent of the engine* on purpose — the witness verifier
     # uses it to audit engine-produced decisions with different code.
@@ -194,5 +181,4 @@ def _require_summable(component: Structure) -> None:
 def hom_vector(sources, target: Target, cache: Cache = None,
                session: Optional[SolverSession] = None):
     """Counts for many sources against one target, as a list of ints."""
-    cache = _unwrap(cache, session)
-    return [count_homs(source, target, cache) for source in sources]
+    return [count_homs(source, target, cache, session) for source in sources]

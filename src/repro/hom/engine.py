@@ -952,8 +952,8 @@ class HomEngine:
         # Every counter lives in the metrics registry under the
         # namespaced schema (repro.obs); the hot loops increment the
         # Counter objects directly (one attribute store, same cost as
-        # the plain ints they replaced) and the legacy attribute names
-        # (``engine.hits`` …) survive as read-only properties.
+        # the plain ints they replaced) and the attribute names
+        # (``engine.hits`` …) read them as read-only properties.
         metrics = MetricsRegistry()
         self.metrics = metrics
         self._m_hits = metrics.counter("engine.memo.hits")
@@ -980,7 +980,7 @@ class HomEngine:
         # processes of a batch run.
         self.store = store
 
-    # Legacy attribute surface over the registry-homed counters.
+    # Read-only attribute surface over the registry-homed counters.
     @property
     def hits(self) -> int:
         return self._m_hits.value
@@ -1214,36 +1214,10 @@ class HomEngine:
     # ------------------------------------------------------------------
     # Introspection / lifecycle
     # ------------------------------------------------------------------
-    def stats(self, flat: bool = False) -> Dict[str, object]:
-        """Engine statistics.
-
-        ``flat=True`` returns the namespaced registry snapshot (the
-        documented metric schema, :mod:`repro.obs`); the default is
-        the legacy nested shape every pre-observability caller reads.
-        Both are sourced from the same registry-homed counters.
-        """
-        if flat:
-            return self.metrics.snapshot()
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "exists_hits": self.exists_hits,
-            "exists_misses": self.exists_misses,
-            "store_hits": self.store_hits,
-            "store_misses": self.store_misses,
-            "cached_counts": len(self._counts),
-            "compiled_targets": len(self._targets),
-            # The intern and canonical-label layers are module-wide
-            # (shared by every engine in the process); their counters
-            # are surfaced here because the engine is what drives them.
-            "interning": intern_stats(),
-            "canonical": canonical_stats(),
-            "bitset": bitset_stats(),
-            "budget": budget_stats(),
-            "dp_counts": self.dp_counts,
-            "backtrack_counts": self.backtrack_counts,
-            "width_histogram": dict(self.width_histogram),
-        }
+    def stats(self) -> Dict[str, object]:
+        """The engine's namespaced registry snapshot (the documented
+        metric schema, :mod:`repro.obs`)."""
+        return self.metrics.snapshot()
 
     def clear(self) -> None:
         """Drop all in-memory caches (the attached store is untouched)."""
@@ -1262,16 +1236,3 @@ class HomEngine:
                 f"targets={len(self._targets)}, hits={self.hits}, "
                 f"misses={self.misses})")
 
-
-def default_engine() -> HomEngine:
-    """The process-wide shared engine (LRU-bounded, safe to keep).
-
-    Compatibility shim: the engine is owned by the module-level default
-    :class:`~repro.session.SolverSession`, so legacy callers and
-    session-aware callers that pass no session always share one memo.
-    Prefer an explicit session (``session=`` on every decision entry
-    point) for anything beyond a one-shot script.
-    """
-    from repro.session import default_session
-
-    return default_session().engine

@@ -19,9 +19,10 @@ Three zero-dependency layers, all safe to leave enabled in production:
 The metric-name schema
 ----------------------
 Every metric name is dot-namespaced by the layer that owns it.  This
-is the documented schema that ``SolverSession.stats(flat=True)`` and
-the daemon's ``{"op": "metrics"}`` control op return (the daemon
-merges its workers' session, engine and store figures into it):
+is the documented schema that ``HomEngine.stats()``,
+``SolverSession.stats()`` and the daemon's ``{"op": "metrics"}``
+control op return (the daemon merges its workers' session, engine and
+store figures into it):
 
 ====================================  =========  ========================
 name                                  kind       meaning

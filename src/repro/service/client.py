@@ -1,4 +1,4 @@
-"""TCP client for a running ``repro serve`` daemon.
+"""TCP client for a running ``repro serve start`` daemon.
 
 The shared client-context object behind the grouped management
 commands (``repro serve ping|stats|metrics|drain``): one place that
@@ -9,12 +9,10 @@ options and calls a method — the kdctl idiom (command groups over one
 client object) without a third-party CLI framework.
 
 Connection reuse: the client holds **one persistent connection** and
-reuses it across requests (both daemons answer many lines per
+reuses it across requests (the daemon answers many lines per
 connection).  A dropped connection is redialed transparently on the
 next request — connection state is an implementation detail, never an
-error the caller sees, unless redialing itself keeps failing.  Pass
-``persistent=False`` to restore the legacy dial-per-request behaviour
-(the bench suite uses it as the ablation baseline).
+error the caller sees, unless redialing itself keeps failing.
 
 Fault tolerance: a daemon restart (or a connect flap injected through
 :mod:`repro.faults.inject`) shows up here as ``ConnectionRefusedError``
@@ -62,10 +60,10 @@ def backoff_delay(attempt: int, base: float = _RETRY_BASE_DELAY,
 class DaemonClient:
     """Line-protocol client for one daemon address.
 
-    Persistent by default: the first request dials, later requests
-    reuse the socket, and a connection dropped between requests (a
-    daemon restart) is redialed transparently with the same backoff
-    schedule a failing first dial gets.  Raises
+    The first request dials, later requests reuse the socket, and a
+    connection dropped between requests (a daemon restart) is redialed
+    transparently with the same backoff schedule a failing first dial
+    gets.  Raises
     :class:`~repro.errors.ReproError` on connection failure or a
     malformed response, so CLI handlers surface one clean error line.
 
@@ -80,13 +78,11 @@ class DaemonClient:
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 timeout: float = 10.0, retries: int = DEFAULT_RETRIES,
-                 persistent: bool = True):
+                 timeout: float = 10.0, retries: int = DEFAULT_RETRIES):
         self.host = host
         self.port = port
         self.timeout = timeout
         self.retries = max(0, retries)
-        self.persistent = persistent
         #: Transient dial failures seen (for tests and diagnostics).
         self.connect_failures = 0
         #: Successful (re)dials (for tests: 1 == connection was reused).
@@ -95,18 +91,15 @@ class DaemonClient:
         self._wire = None
 
     # -------------------------------------------------- connection state
-    def _connect(self):
-        """Dial and cache a connection; returns the buffered wire."""
+    def _connect(self) -> None:
+        """Dial and hold a connection."""
         if should_inject("client.connect"):
             raise ConnectionRefusedError("connection refused (injected)")
         sock = socket.create_connection((self.host, self.port),
                                         timeout=self.timeout)
         self.connects += 1
-        if not self.persistent:
-            return sock, sock.makefile("rw", encoding="utf-8")
         self._sock = sock
         self._wire = sock.makefile("rw", encoding="utf-8")
-        return self._sock, self._wire
 
     def _drop(self) -> None:
         if self._wire is not None:
@@ -136,40 +129,30 @@ class DaemonClient:
     def _exchange(self, payload_line: str) -> str:
         """One write → read cycle; raises raw socket errors.
 
-        Persistent mode reuses the held connection when there is one.
-        A daemon that died since the last request surfaces here as a
-        reset/EOF — mapped to ``ConnectionResetError`` so the retry
-        loop redials instead of failing the request.
+        Reuses the held connection when there is one.  A daemon that
+        died since the last request surfaces here as a reset/EOF —
+        mapped to ``ConnectionResetError`` so the retry loop redials
+        instead of failing the request.
         """
-        if self.persistent:
-            reused = self._wire is not None
-            if not reused:
-                self._connect()
-            try:
-                self._wire.write(payload_line)
-                self._wire.flush()
-                answer = self._wire.readline()
-            except _TRANSIENT:
-                self._drop()
-                raise
-            except OSError:
-                self._drop()
-                raise
-            if not answer and reused:
-                # EOF on a reused connection: the daemon went away
-                # between requests (restart, idle drop).  Treat it as
-                # transient so the retry loop redials — a fresh
-                # connection answering EOF is a real protocol error
-                # and stays one.
-                self._drop()
-                raise ConnectionResetError(
-                    "daemon closed the persistent connection")
-            return answer
-        sock, wire = self._connect()
-        with sock:
-            wire.write(payload_line)
-            wire.flush()
-            return wire.readline()
+        reused = self._wire is not None
+        if not reused:
+            self._connect()
+        try:
+            self._wire.write(payload_line)
+            self._wire.flush()
+            answer = self._wire.readline()
+        except OSError:
+            self._drop()
+            raise
+        if not answer and reused:
+            # EOF on a reused connection: the daemon went away between
+            # requests (restart, idle drop).  Treat it as transient so
+            # the retry loop redials — a fresh connection answering EOF
+            # is a real protocol error and stays one.
+            self._drop()
+            raise ConnectionResetError(
+                "daemon closed the persistent connection")
+        return answer
 
     def request_line(self, line: str) -> Dict[str, object]:
         """Send one protocol line, return the decoded response object."""
@@ -268,5 +251,4 @@ class DaemonClient:
             delay = min(delay * 2.0, 0.25)
 
     def __repr__(self) -> str:
-        mode = "persistent" if self.persistent else "per-request"
-        return f"DaemonClient({self.host}:{self.port}, {mode})"
+        return f"DaemonClient({self.host}:{self.port})"

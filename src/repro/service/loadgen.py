@@ -4,14 +4,11 @@ The concurrency story of this repo is only credible if it is measured
 the way a service is measured: N concurrent clients, each issuing its
 next request the moment the previous one answers (closed loop), with
 throughput and tail latency (p50/p99) reported — not a single-threaded
-stopwatch.  This module is that harness; it backs ``repro serve load``,
-``scripts/load_gen.py`` and the ``service_concurrency`` bench workload.
+stopwatch.  This module is that harness; it backs ``repro serve load``
+and the ``service_concurrency`` bench workload.
 
-Three transports:
+Two transports:
 
-* ``per-request`` — dial a fresh TCP connection per request
-  (:class:`~repro.service.client.DaemonClient` with
-  ``persistent=False``), so every request pays a connection setup.
 * ``persistent`` — one TCP connection per client, reused for every
   request: the daemon's intended mode.
 * ``ws`` — one WebSocket connection per client against the daemon's
@@ -32,11 +29,9 @@ import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from repro.errors import ReproError
-
-TRANSPORTS = ("per-request", "persistent", "ws")
 
 
 def percentile(samples: Sequence[float], q: float) -> float:
@@ -95,27 +90,6 @@ def _is_error(response_line: str) -> bool:
     except json.JSONDecodeError:
         return True
     return not (isinstance(record, dict) and record.get("ok"))
-
-
-class _PerRequestTransport:
-    """Dial, send one line, read one line, close — per request."""
-
-    def __init__(self, host: str, port: int, timeout: float):
-        self._address = (host, port)
-        self._timeout = timeout
-
-    def exchange(self, line: str) -> str:
-        with socket.create_connection(self._address,
-                                      timeout=self._timeout) as sock:
-            sock.sendall(line.encode("utf-8") + b"\n")
-            with sock.makefile("r", encoding="utf-8") as reader:
-                response = reader.readline()
-        if not response:
-            raise ConnectionError("daemon closed the connection")
-        return response.rstrip("\n")
-
-    def close(self) -> None:
-        pass
 
 
 class _PersistentTransport:
@@ -217,7 +191,6 @@ class _WebSocketTransport:
 
 
 _TRANSPORT_FACTORIES: Dict[str, Callable] = {
-    "per-request": _PerRequestTransport,
     "persistent": _PersistentTransport,
     "ws": _WebSocketTransport,
 }
@@ -240,7 +213,7 @@ def run_load(host: str, port: int, lines: Sequence[str],
     if transport not in _TRANSPORT_FACTORIES:
         raise ReproError(
             f"unknown load transport {transport!r}; "
-            f"expected one of {list(TRANSPORTS)}")
+            f"expected one of {list(_TRANSPORT_FACTORIES)}")
     if not lines:
         raise ReproError("load generation needs at least one task line")
     factory = _TRANSPORT_FACTORIES[transport]

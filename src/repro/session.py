@@ -1,19 +1,15 @@
 """Session-scoped solver context — the ownership layer above the engine.
 
 Every decision procedure in the library bottoms out in the compiled
-counting engine (:mod:`repro.hom.engine`).  Before this module, engine
-ownership was ad hoc: a process-global ``default_engine()`` singleton,
-bare ``HomEngine()`` constructions scattered through the workbench and
-the batch runner, and a private ``_engine`` attribute threaded through
-decision results.  None of that composes into a *request stream*: a
-resident service answering thousands of tasks needs one place that owns
-the engine, the persistent store, the strategy override and the memo
-limits — and that can report aggregated statistics over its lifetime.
+counting engine (:mod:`repro.hom.engine`).  A resident service
+answering thousands of tasks needs one place that owns the engine, the
+persistent store, the strategy override and the memo limits — and that
+can report aggregated statistics over its lifetime.
 
 :class:`SolverSession` is that place.  One session owns:
 
-* a :class:`~repro.hom.engine.HomEngine` (created from the session's
-  configuration, or adopted from the caller);
+* a :class:`~repro.hom.engine.HomEngine` built from the session's
+  configuration;
 * an optional persistent store — either an object implementing the
   engine's duck-typed store protocol, or the path of a
   :class:`~repro.batch.store.TieredHomStore` the session opens (and
@@ -24,17 +20,15 @@ limits — and that can report aggregated statistics over its lifetime.
 
 Every decision-procedure entry point accepts ``session=``; passing the
 same session across ``decide → witness → refute`` reuses every compiled
-target and memoized count, and two sessions never share state.  The
-legacy ``default_engine()`` singleton survives as a thin shim over the
-module-level *default session* (:func:`default_session`), so existing
-callers keep their behaviour while new code scopes its state
-explicitly::
+target and memoized count, and two sessions never share state.  A call
+without one runs under the module-level *default session*
+(:func:`default_session`)::
 
     with SolverSession(store_path="homstore") as session:
         result = decide_bag_determinacy(views, query, session=session)
         if not result.determined:
             pair = result.witness()        # reuses the deciding engine
-        print(session.stats()["engine"]["hits"])
+        print(session.stats()["engine.memo.hits"])
 """
 
 from __future__ import annotations
@@ -52,11 +46,6 @@ class SolverSession:
 
     Parameters
     ----------
-    engine:
-        Adopt an existing engine instead of building one.  The session
-        then *borrows* the engine: ``close()`` flushes but never closes
-        a store the caller attached.  Mutually exclusive with the
-        engine-configuration knobs below.
     store:
         A store object implementing the engine's duck-typed protocol
         (``lookup``/``record``; see :class:`repro.hom.engine.HomEngine`).
@@ -89,13 +78,12 @@ class SolverSession:
         asked for.
     """
 
-    __slots__ = ("engine", "_store", "_owns_engine", "_owns_store",
+    __slots__ = ("engine", "_store", "_owns_store",
                  "metrics", "_m_tasks", "_m_task_errors",
                  "_m_budget_exceeded", "default_deadline_ms",
                  "default_max_steps", "_closed")
 
-    def __init__(self, *, engine: Optional[HomEngine] = None,
-                 store=None, store_path: Optional[str] = None,
+    def __init__(self, *, store=None, store_path: Optional[str] = None,
                  shards: Optional[int] = None,
                  preload_pack: Optional[str] = None,
                  strategy: str = "auto",
@@ -133,26 +121,13 @@ class SolverSession:
             if preload_pack is not None:
                 import_warm_pack(store, preload_pack)
         self._store = store
-        if engine is not None:
-            # Adopted engine: its configuration wins; wiring a second
-            # store or strategy under the caller's feet would be a
-            # silent behaviour change, so it is refused.
-            if store is not None or strategy != "auto":
-                raise ReproError(
-                    "cannot adopt an existing engine and also configure "
-                    "store/strategy; configure the engine itself")
-            self.engine = engine
-            self._owns_engine = False
-            self._store = engine.store
-        else:
-            self.engine = HomEngine(max_counts=max_counts,
-                                    max_targets=max_targets,
-                                    store=store, strategy=strategy)
-            self._owns_engine = True
-            if store is not None and preload > 0:
-                seeder = getattr(store, "preload", None)
-                if seeder is not None:
-                    seeder(self.engine, limit=preload)
+        self.engine = HomEngine(max_counts=max_counts,
+                                max_targets=max_targets,
+                                store=store, strategy=strategy)
+        if store is not None and preload > 0:
+            seeder = getattr(store, "preload", None)
+            if seeder is not None:
+                seeder(self.engine, limit=preload)
         # The session's metrics registry: request accounting lives
         # here, the engine's registry and the process-wide one are
         # attached (one snapshot walks all three), and the persistent
@@ -172,7 +147,7 @@ class SolverSession:
         metrics.attach(PROCESS_METRICS)
         self._closed = False
 
-    # Legacy attribute surface over the registry-homed counters.
+    # Read-only attribute surface over the registry-homed counters.
     @property
     def tasks_evaluated(self) -> int:
         return self._m_tasks.value
@@ -278,37 +253,14 @@ class SolverSession:
     # ------------------------------------------------------------------
     # Introspection / lifecycle
     # ------------------------------------------------------------------
-    def stats(self, flat: bool = False) -> Dict[str, object]:
-        """Aggregated session statistics: engine memo counters, store
-        counters when a store is attached, and request accounting.
-
-        ``flat=True`` returns the namespaced registry snapshot — the
-        one documented metric schema (:mod:`repro.obs`) shared with
-        ``HomEngine.stats(flat=True)`` and the service's ``metrics``
-        control op.  The default (``flat=False``) is the legacy nested
-        shape, kept as the compatibility path; both views are sourced
-        from the same registry-homed counters.
-
-        The engine block carries the shared intern/canonical-label
-        counters (``engine.interning`` / ``engine.canonical``:
-        structures compiled to ints, canonical keys labeled, cache
-        hits on both) — what an operator watches to confirm the
-        canonical memo is actually deduplicating a request stream.
+    def stats(self) -> Dict[str, object]:
+        """Aggregated session statistics: the namespaced registry
+        snapshot (:mod:`repro.obs`) of request accounting, the
+        engine's counters, the process-wide intern/canonical/decode
+        layers and, when a store is attached, its counters — the one
+        metric schema the service's ``metrics`` control op serves.
         """
-        if flat:
-            return self.metrics.snapshot()
-        report: Dict[str, object] = {
-            "engine": self.engine.stats(),
-            "tasks_evaluated": self.tasks_evaluated,
-            "task_errors": self.task_errors,
-            "tasks_budget_exceeded": self.tasks_budget_exceeded,
-            "strategy": self.engine.strategy,
-        }
-        store = self.engine.store
-        if store is not None:
-            store_stats = getattr(store, "stats", None)
-            report["store"] = store_stats() if store_stats else {}
-        return report
+        return self.metrics.snapshot()
 
     def flush(self) -> None:
         """Flush buffered writes of the attached store, if any."""
@@ -321,17 +273,16 @@ class SolverSession:
     def close(self) -> None:
         """Flush, and close the store when this session opened it.
 
-        Idempotent; adopted engines and borrowed stores are left as the
-        caller configured them (only buffered writes are flushed).
+        Idempotent; a borrowed store is left as the caller configured
+        it (only buffered writes are flushed).
         """
         if self._closed:
             return
         self._closed = True
         self.flush()
-        if self._owns_store and self._store is not None:
+        if self._owns_store:
             self._store.close()
-            if self._owns_engine:
-                self.engine.detach_store()
+            self.engine.detach_store()
 
     def __enter__(self) -> "SolverSession":
         return self
@@ -341,22 +292,17 @@ class SolverSession:
 
     def __repr__(self) -> str:
         return (f"SolverSession(engine={self.engine!r}, "
-                f"tasks={self.tasks_evaluated}, "
-                f"owns_engine={self._owns_engine})")
+                f"tasks={self.tasks_evaluated})")
 
 
 # ----------------------------------------------------------------------
-# The module-level default session (compatibility surface)
+# The module-level default session
 # ----------------------------------------------------------------------
 _DEFAULT_SESSION: Optional[SolverSession] = None
 
 
 def default_session() -> SolverSession:
-    """The process-wide shared session (LRU-bounded, safe to keep).
-
-    :func:`repro.hom.engine.default_engine` is a shim over this — the
-    two always agree on which engine is "the default".
-    """
+    """The process-wide shared session (LRU-bounded, safe to keep)."""
     global _DEFAULT_SESSION
     if _DEFAULT_SESSION is None:
         _DEFAULT_SESSION = SolverSession()
@@ -377,21 +323,8 @@ def set_default_session(session: Optional[SolverSession]
     return previous
 
 
-def resolve_session(session: Optional[SolverSession] = None,
-                    engine: Optional[HomEngine] = None) -> SolverSession:
-    """The session an API call should run under.
-
-    Precedence: an explicit ``session`` wins; a bare ``engine`` (the
-    pre-session calling convention) is adopted into a lightweight
-    borrowing session; otherwise the process default.  Passing both a
-    session and a *different* engine is a contradiction and raises.
-    """
-    if session is not None:
-        if engine is not None and engine is not session.engine:
-            raise ReproError(
-                "both session= and engine= were given and disagree; "
-                "pass one of them")
-        return session
-    if engine is not None:
-        return SolverSession(engine=engine)
-    return default_session()
+def resolve_session(session: Optional[SolverSession] = None
+                    ) -> SolverSession:
+    """The session an API call should run under: ``session`` when
+    given, otherwise the process default."""
+    return session if session is not None else default_session()

@@ -31,6 +31,10 @@ Queries::
     {"kind": "cq", "free": ["x"], "atoms": [["R", ["x", "y"]]]}
     {"kind": "ucq", "disjuncts": [...]}
     {"kind": "path", "letters": ["A", "B"]}
+
+A JSON string where the format has a list (``"letters": "AB"``,
+``["R", "xy"]``) is refused with a :class:`SerializationError`, not
+read one character at a time.
 """
 
 from __future__ import annotations
@@ -48,6 +52,23 @@ from repro.structures.structure import Fact, Structure
 
 class SerializationError(ReproError):
     """Malformed payloads and unserializable constants."""
+
+
+def _listed(value, what: str):
+    """``value``, refused when it is a string: iterating a string where
+    the wire format has a list would read it one character at a time
+    (``"xy"`` as the two terms ``x`` and ``y``)."""
+    if isinstance(value, str):
+        raise SerializationError(
+            f"{what} must be a list, got the string {value!r}")
+    return value
+
+
+def _rows(payload: Dict[str, Any], key: str, what: str):
+    """The ``[name, [terms]]`` rows of ``payload[key]`` (facts, atoms)."""
+    for row in _listed(payload.get(key, []), f"'{key}'"):
+        name, terms = _listed(row, f"each {what}")
+        yield name, _listed(terms, f"{what} terms")
 
 
 # ----------------------------------------------------------------------
@@ -108,9 +129,10 @@ def structure_from_dict(payload: Dict[str, Any]) -> Structure:
         schema = Schema(dict(payload.get("schema", {})))
         facts = [
             Fact(relation, tuple(decode_constant(t) for t in terms))
-            for relation, terms in payload.get("facts", [])
+            for relation, terms in _rows(payload, "facts", "fact")
         ]
-        isolated = [decode_constant(c) for c in payload.get("isolated", [])]
+        isolated = [decode_constant(c) for c in
+                    _listed(payload.get("isolated", []), "'isolated'")]
     except (TypeError, ValueError, KeyError) as exc:
         raise SerializationError(f"malformed structure payload: {exc}") from exc
     active = {t for fact in facts for t in fact.terms}
@@ -128,12 +150,17 @@ def _structure_from_interned_dict(payload: Dict[str, Any]) -> Structure:
 
     try:
         schema = Schema(dict(payload.get("schema", {})))
-        constants = [decode_constant(c) for c in payload["constants"]]
+        constants = [decode_constant(c) for c in
+                     _listed(payload["constants"], "'constants'")]
+        # A string row or term list needs no check of its own: its
+        # characters are no indices, so ``at`` refuses them.
         facts = [
             Fact(relation, tuple(at(i) for i in terms))
-            for relation, terms in payload.get("facts", [])
+            for relation, terms in _listed(payload.get("facts", []),
+                                           "'facts'")
         ]
-        isolated = [at(i) for i in payload.get("isolated", [])]
+        isolated = [at(i) for i in
+                    _listed(payload.get("isolated", []), "'isolated'")]
     except (TypeError, ValueError, KeyError) as exc:
         raise SerializationError(f"malformed structure payload: {exc}") from exc
     active = {t for fact in facts for t in fact.terms}
@@ -160,11 +187,12 @@ def cq_from_dict(payload: Dict[str, Any]) -> ConjunctiveQuery:
         raise SerializationError(f"expected kind 'cq', got {payload.get('kind')!r}")
     try:
         atoms = [Atom(relation, tuple(variables))
-                 for relation, variables in payload.get("atoms", [])]
+                 for relation, variables in _rows(payload, "atoms", "atom")]
         return ConjunctiveQuery(
             atoms,
-            free=tuple(payload.get("free", [])),
-            extra_variables=payload.get("extra_variables", []),
+            free=tuple(_listed(payload.get("free", []), "'free'")),
+            extra_variables=_listed(payload.get("extra_variables", []),
+                                    "'extra_variables'"),
         )
     except (TypeError, ValueError) as exc:
         raise SerializationError(f"malformed cq payload: {exc}") from exc
@@ -181,7 +209,8 @@ def ucq_from_dict(payload: Dict[str, Any]) -> UnionOfBooleanCQs:
     if payload.get("kind") != "ucq":
         raise SerializationError(f"expected kind 'ucq', got {payload.get('kind')!r}")
     return UnionOfBooleanCQs(
-        [cq_from_dict(d) for d in payload.get("disjuncts", [])]
+        [cq_from_dict(d)
+         for d in _listed(payload.get("disjuncts", []), "'disjuncts'")]
     )
 
 
@@ -192,7 +221,8 @@ def path_to_dict(query: PathQuery) -> Dict[str, Any]:
 def path_from_dict(payload: Dict[str, Any]) -> PathQuery:
     if payload.get("kind") != "path":
         raise SerializationError(f"expected kind 'path', got {payload.get('kind')!r}")
-    return PathQuery(tuple(payload.get("letters", [])))
+    return PathQuery(tuple(_listed(payload.get("letters", []),
+                                   "'letters'")))
 
 
 # ----------------------------------------------------------------------

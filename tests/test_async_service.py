@@ -585,15 +585,6 @@ class TestPersistentClient:
         finally:
             client.close()
 
-    def test_per_request_mode_still_works(self):
-        with AsyncDaemonHandle(workers=1) as handle:
-            client = DaemonClient(host=handle.address[0],
-                                  port=handle.address[1],
-                                  persistent=False)
-            assert client.ping()["ok"]
-            assert client.ping()["ok"]
-            assert client.connects == 2
-
 
 # ----------------------------------------------------------------------
 # Load generator

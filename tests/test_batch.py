@@ -31,6 +31,7 @@ from repro.batch.tasks import (
 )
 from repro.cli import main
 from repro.hom.engine import HomEngine
+from repro.session import SolverSession
 from repro.queries.parser import parse_boolean_cq, parse_path, parse_ucq
 from repro.structures.generators import clique_structure, path_structure
 
@@ -416,8 +417,8 @@ class TestRunner:
             json.loads(line)  # every line is whole JSON again
 
     def test_evaluate_line_reports_unknown_id(self):
-        engine = HomEngine()
-        record = json.loads(evaluate_line("garbage", engine))
+        session = SolverSession()
+        record = json.loads(evaluate_line("garbage", session))
         assert record["ok"] is False
         assert record["id"] is None
 
@@ -428,19 +429,46 @@ class TestRunner:
         {"kind": "cq", "atoms": [["R", ["x"]]], "free": [True]},
         {"kind": "ucq", "disjuncts": [3]},
         {"kind": "path", "letters": 3},
+        # A string where the wire format has a list is not read one
+        # character at a time.
+        {"kind": "cq", "atoms": [["R", ["x"]]], "extra_variables": "xy"},
+        {"kind": "cq", "atoms": [["R", ["x"]]], "free": ""},
+        {"kind": "cq", "atoms": [["R", "xy"]]},
     ])
     def test_rejected_payload_names_its_task(self, query):
         line = json.dumps({"id": "t9", "kind": "decide-cq", "views": [],
                            "query": query})
-        record = json.loads(evaluate_line(line, HomEngine()))
+        record = json.loads(evaluate_line(line, SolverSession()))
         assert record["ok"] is False
         assert (record["id"], record["kind"]) == ("t9", "decide-cq")
         assert record["error"].startswith(
             "BatchCodecError: task t9: bad query payload: ")
 
+    @pytest.mark.parametrize("kind, label, payload", [
+        ("certify-ucq", "query",
+         {"kind": "ucq", "disjuncts": [{"kind": "cq",
+                                        "atoms": [["R", "xy"]]}]}),
+        ("decide-path", "query", {"kind": "path", "letters": "AB"}),
+        ("hom-count", "source",
+         {"kind": "structure", "schema": {"R": 2}, "constants": [],
+          "facts": ""}),
+    ])
+    def test_string_where_a_list_belongs_is_rejected(self, kind, label,
+                                                      payload):
+        target = {"kind": "structure", "schema": {"R": 2},
+                  "constants": ["a"], "facts": [["R", [0, 0]]]}
+        line = json.dumps({"id": "t9", "kind": kind, "views": [],
+                           label: payload, "target": target})
+        record = json.loads(evaluate_line(line, SolverSession()))
+        assert record["ok"] is False
+        assert (record["id"], record["kind"]) == ("t9", kind)
+        assert record["error"].startswith(
+            f"BatchCodecError: task t9: bad {label} payload: ")
+        assert "must be a list, got the string" in record["error"]
+
     def test_unknown_kind_keeps_its_id_but_not_its_kind(self):
         record = json.loads(evaluate_line(
-            '{"id": "t9", "kind": "nope"}', HomEngine()))
+            '{"id": "t9", "kind": "nope"}', SolverSession()))
         assert (record["id"], record["kind"]) == ("t9", None)
 
     def test_resume_answers_rejected_lines_once(self, tmp_path):
@@ -551,6 +579,22 @@ class TestWorkerPool:
         # the flush at the stop message, whose reply carries its delta.
         assert metrics["store.flush.rows"] == metrics["store.inserts"] > 0
 
+    def test_workers_report_no_counters_they_inherited(self):
+        # The parent decodes the corpus first, so each forked worker
+        # starts with the process-wide decode counters already moved;
+        # both layouts decode the same payloads of the same 4 lines.
+        lines = _scenario_lines("mixed", 40, seed=5)
+        for line in lines:
+            decode_task(line)
+        decoded = []
+        for workers in (1, 2):
+            metrics = {}
+            list(iter_results(lines[:4], workers=workers,
+                              metrics_sink=metrics))
+            decoded.append(metrics.get("decode.hits", 0)
+                           + metrics.get("decode.misses", 0))
+        assert decoded[0] == decoded[1] > 0
+
 
 # ----------------------------------------------------------------------
 # CLI end-to-end
@@ -574,13 +618,13 @@ class TestBatchCLI:
                      "--chunk-size", "4", "--cache", str(cache)]) == 0
         assert out1.read_bytes() == out4.read_bytes()
 
-        assert main(["batch", "cache", "--cache", str(cache)]) == 0
+        assert main(["cache", "info", "--cache", str(cache)]) == 0
         out = capsys.readouterr().out
         assert "existence verdicts" in out
 
     def test_cache_subcommand_rejects_missing_file(self, tmp_path, capsys):
         missing = tmp_path / "typo.sqlite"
-        assert main(["batch", "cache", "--cache", str(missing)]) == 2
+        assert main(["cache", "info", "--cache", str(missing)]) == 2
         assert "no such cache file" in capsys.readouterr().err
         assert not missing.exists()  # inspection must not create a DB
 

@@ -1,7 +1,7 @@
 """Schema tests for the machine-readable bench suite and its CLI face.
 
 The CI regression gate (``scripts/check_bench_regression.py``) consumes
-``repro.cli bench --json`` output, so the shape of that report is a
+``repro.cli bench run --json`` output, so the shape of that report is a
 compatibility contract — these tests pin it.
 """
 
@@ -52,7 +52,8 @@ def _check_report_schema(report):
             if key.endswith("_s"):
                 assert value < 60.0, f"{name}.{key} implausibly slow"
     stats = report["engine_stats"]
-    for field in ("hits", "misses", "cached_counts", "compiled_targets"):
+    for field in ("engine.memo.hits", "engine.memo.misses",
+                  "engine.memo.entries", "engine.targets.compiled"):
         assert isinstance(stats[field], int)
 
 
@@ -104,7 +105,8 @@ def test_format_report_mentions_every_workload(report):
 def test_cli_bench_json_output(tmp_path, capsys):
     # The one test that runs the suite end to end through the CLI.
     path = tmp_path / "bench.json"
-    assert main(["bench", "--json", "--output", str(path), "--repeat", "1"]) == 0
+    assert main(["bench", "run", "--json", "--output", str(path),
+                 "--repeat", "1"]) == 0
     out = capsys.readouterr().out
     assert str(path) in out
     _check_report_schema(json.loads(path.read_text()))
@@ -112,7 +114,8 @@ def test_cli_bench_json_output(tmp_path, capsys):
 
 def test_cli_bench_output_flag_implies_json(tmp_path, reused):
     path = tmp_path / "bench.json"
-    assert main(["bench", "--output", str(path), "--repeat", "1"]) == 0
+    assert main(["bench", "run", "--output", str(path),
+                 "--repeat", "1"]) == 0
     assert path.exists()
     assert reused == [1]
 

@@ -4,14 +4,13 @@ import json
 
 import pytest
 
-import repro.cli as cli
-from repro.cli import _rewrite_legacy, build_parser, main
+from repro.cli import build_parser, main
 
 
 class TestDecideCQ:
     def test_determined(self, capsys):
         code = main([
-            "decide-cq", "--view", "R(x,y)", "--query", "R(x,y), R(u,v)",
+            "decide", "cq", "--view", "R(x,y)", "--query", "R(x,y), R(u,v)",
         ])
         out = capsys.readouterr().out
         assert code == 0
@@ -20,7 +19,7 @@ class TestDecideCQ:
 
     def test_not_determined_with_witness(self, capsys):
         code = main([
-            "decide-cq", "--view", "R(x,y), R(y,z)", "--query", "R(x,y)",
+            "decide", "cq", "--view", "R(x,y), R(y,z)", "--query", "R(x,y)",
             "--witness",
         ])
         out = capsys.readouterr().out
@@ -29,7 +28,7 @@ class TestDecideCQ:
         assert "witness verified: True" in out
 
     def test_parse_error_reported(self, capsys):
-        code = main(["decide-cq", "--query", "R(x,,y)"])
+        code = main(["decide", "cq", "--query", "R(x,,y)"])
         captured = capsys.readouterr()
         assert code == 2
         assert "error:" in captured.err
@@ -38,7 +37,7 @@ class TestDecideCQ:
 class TestDecidePath:
     def test_determined(self, capsys):
         code = main([
-            "decide-path",
+            "decide", "path",
             "--view", "A.B.C", "--view", "B.C", "--view", "B.C.D",
             "--query", "A.B.C.D",
         ])
@@ -48,7 +47,7 @@ class TestDecidePath:
         assert "Theorem 1" in out
 
     def test_not_determined(self, capsys):
-        code = main(["decide-path", "--view", "B", "--query", "A"])
+        code = main(["decide", "path", "--view", "B", "--query", "A"])
         out = capsys.readouterr().out
         assert code == 0
         assert "NOT DETERMINED" in out
@@ -57,7 +56,7 @@ class TestDecidePath:
 class TestCertifyUCQ:
     def test_example3(self, capsys):
         code = main([
-            "certify-ucq",
+            "decide", "ucq",
             "--view", "P(x)", "--view", "P(x) or R(x)",
             "--query", "R(x)",
         ])
@@ -66,7 +65,7 @@ class TestCertifyUCQ:
         assert "DETERMINED via linear identity" in out
 
     def test_no_certificate(self, capsys):
-        code = main(["certify-ucq", "--view", "P(x)", "--query", "R(x)"])
+        code = main(["decide", "ucq", "--view", "P(x)", "--query", "R(x)"])
         out = capsys.readouterr().out
         assert code == 1
         assert "NO LINEAR CERTIFICATE" in out
@@ -111,7 +110,7 @@ def test_parser_requires_subcommand():
 
 
 # ----------------------------------------------------------------------
-# Grouped command tree + deprecated flat aliases
+# Grouped command tree
 # ----------------------------------------------------------------------
 class TestGroupedCommands:
     def test_decide_cq(self, capsys):
@@ -131,56 +130,20 @@ class TestGroupedCommands:
         assert code == 0
         assert "DETERMINED via linear identity" in capsys.readouterr().out
 
-
-class TestLegacyAliases:
-    def test_rewrite_table(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "_DEPRECATION_WARNED", False)
-        assert _rewrite_legacy(["decide-cq", "--query", "q"]) == \
-            ["decide", "cq", "--query", "q"]
-        assert _rewrite_legacy(["decide-path", "--query", "A"]) == \
-            ["decide", "path", "--query", "A"]
-        assert _rewrite_legacy(["certify-ucq"]) == ["decide", "ucq"]
-        assert _rewrite_legacy(["serve", "--workers", "2"]) == \
-            ["serve", "start", "--workers", "2"]
-        assert _rewrite_legacy(["serve"]) == ["serve", "start"]
-        assert _rewrite_legacy(["bench", "--json"]) == \
-            ["bench", "run", "--json"]
-        assert _rewrite_legacy(["batch", "cache", "--cache", "x"]) == \
-            ["cache", "info", "--cache", "x"]
-        capsys.readouterr()  # drop the accumulated notices
-
-    def test_grouped_spellings_pass_through(self):
-        for argv in (["serve", "ping", "--port", "1"],
-                     ["serve", "start"],
-                     ["bench", "run", "--json"],
-                     ["bench", "check", "--current", "x"],
-                     ["batch", "run"],
-                     ["batch", "gen"],
-                     ["decide", "cq", "--query", "q"],
-                     ["serve", "-h"],
-                     ["bench", "--help"]):
-            assert _rewrite_legacy(list(argv)) == argv
-
-    def test_deprecation_notice_exactly_once_per_process(
-            self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "_DEPRECATION_WARNED", False)
-        assert main(["decide-path", "--view", "B", "--query", "A"]) == 0
-        assert main(["decide-path", "--view", "B", "--query", "A"]) == 0
+    @pytest.mark.parametrize("argv", [
+        ["decide-cq", "--query", "R(x,y)"],
+        ["decide-path", "--query", "A"],
+        ["certify-ucq", "--query", "R(x)"],
+        ["serve", "--workers", "2"],
+        ["bench", "--json"],
+        ["batch", "cache", "--cache", "x"],
+    ])
+    def test_flat_spellings_are_unknown_commands(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert err.count("deprecated") == 1
-        assert "'decide-path'" in err
-        assert "repro decide path" in err
-
-    def test_grouped_spelling_prints_no_notice(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "_DEPRECATION_WARNED", False)
-        assert main(["decide", "path", "--view", "B", "--query", "A"]) == 0
-        assert "deprecated" not in capsys.readouterr().err
-
-    def test_legacy_spelling_still_works_end_to_end(self, capsys):
-        code = main(["certify-ucq", "--view", "P(x)",
-                     "--view", "P(x) or R(x)", "--query", "R(x)"])
-        assert code == 0
-        assert "DETERMINED via linear identity" in capsys.readouterr().out
+        assert "invalid choice" in err or "required" in err
 
 
 # ----------------------------------------------------------------------

@@ -270,6 +270,11 @@ def test_auto_selection_backtracks_on_trivia_and_existence():
                            first_only=True) == "backtrack"
 
 
+def _widths(engine):
+    return {name: value for name, value in engine.stats().items()
+            if name.startswith("engine.dp.width.")}
+
+
 def test_engine_strategy_knob_and_stats():
     grid = grid_structure(2, 4, horizontal="R", vertical="S")
     target = _dense_target()
@@ -280,15 +285,16 @@ def test_engine_strategy_knob_and_stats():
     assert forced_dp.count(grid, target) == expected
     assert forced_bt.count(grid, target) == expected
     assert auto.count(grid, target) == expected
-    assert forced_dp.stats()["dp_counts"] == 1
-    assert forced_dp.stats()["backtrack_counts"] == 0
-    assert forced_dp.stats()["width_histogram"] == {2: 1}
-    assert forced_bt.stats()["dp_counts"] == 0
-    assert forced_bt.stats()["backtrack_counts"] == 1
-    assert auto.stats()["dp_counts"] + auto.stats()["backtrack_counts"] == 1
+    assert forced_dp.stats()["engine.count.dp"] == 1
+    assert forced_dp.stats()["engine.count.backtrack"] == 0
+    assert _widths(forced_dp) == {"engine.dp.width.2": 1}
+    assert forced_bt.stats()["engine.count.dp"] == 0
+    assert forced_bt.stats()["engine.count.backtrack"] == 1
+    assert auto.stats()["engine.count.dp"] \
+        + auto.stats()["engine.count.backtrack"] == 1
     forced_dp.clear()
-    assert forced_dp.stats()["dp_counts"] == 0
-    assert forced_dp.stats()["width_histogram"] == {}
+    assert forced_dp.stats()["engine.count.dp"] == 0
+    assert _widths(forced_dp) == {}
     assert forced_dp.strategy == "dp"  # clear() keeps the knob
 
 

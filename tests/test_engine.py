@@ -166,11 +166,12 @@ def test_stats_and_clear():
     engine = HomEngine()
     engine.count(path_structure(["R"]), clique_structure(3))
     stats = engine.stats()
-    assert stats["misses"] >= 1 and stats["compiled_targets"] >= 1
-    assert stats["canonical"]["keys"] >= 1  # shared canonical-key layer
-    assert stats["interning"]["structures"] >= 1
+    assert stats["engine.memo.misses"] >= 1
+    assert stats["engine.targets.compiled"] >= 1
+    assert stats["canonical.keys"] >= 1  # shared canonical-key layer
+    assert stats["intern.structures"] >= 1
     engine.clear()
-    assert engine.stats()["cached_counts"] == 0
+    assert engine.stats()["engine.memo.entries"] == 0
 
 
 def test_lru_bound_is_respected():

@@ -25,7 +25,7 @@ class TestCountLRU:
         engine = HomEngine(max_counts=2)
         for source in PATHS:
             engine.count_connected_leaf(source, TARGET)
-        assert engine.stats()["cached_counts"] == 2
+        assert engine.stats()["engine.memo.entries"] == 2
         assert engine.misses == 3
         assert engine.hits == 0
 
@@ -56,7 +56,7 @@ class TestCountLRU:
         engine.count_connected_leaf(base, TARGET)
         engine.count_connected_leaf(renamed, TARGET)
         assert engine.hits == 1
-        assert engine.stats()["cached_counts"] == 1
+        assert engine.stats()["engine.memo.entries"] == 1
 
 
 class TestTargetLRU:
@@ -64,7 +64,7 @@ class TestTargetLRU:
         engine = HomEngine(max_targets=2)
         for size in (3, 4, 5):
             engine.target_index(clique_structure(size))
-        assert engine.stats()["compiled_targets"] == 2
+        assert engine.stats()["engine.targets.compiled"] == 2
 
     def test_recently_used_target_survives(self):
         engine = HomEngine(max_targets=2)
@@ -94,8 +94,8 @@ class TestCanonicalKeys:
         # Distinct iso classes churn through the bounded memo; no
         # per-engine representative table grows with them, and the
         # shared canonical layer reports its work through stats().
-        assert engine.stats()["cached_counts"] <= 3
-        assert engine.stats()["canonical"]["keys"] >= 6
+        assert engine.stats()["engine.memo.entries"] <= 3
+        assert engine.stats()["canonical.keys"] >= 6
 
     def test_seed_count_key_matches_computed_key(self):
         from repro.structures.canonical import canonical_key
@@ -145,7 +145,7 @@ class TestStoreHooks:
         second = HomEngine(store=store)
         assert second.count_connected_leaf(PATHS[2], TARGET) == truth
         assert second.store_hits == 1
-        assert second.stats()["store_hits"] == 1
+        assert second.stats()["engine.store.hits"] == 1
 
     def test_exists_flows_through_store(self):
         store = DictStore()

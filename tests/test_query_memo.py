@@ -139,9 +139,9 @@ def test_counters_move_on_a_repeated_stream():
                  [_cq(("R", "xy"))])
     with SolverSession() as session:
         evaluate_line(line, session)
-        first = session.stats(flat=True)
+        first = session.stats()
         evaluate_line(line, session)
-        second = session.stats(flat=True)
+        second = session.stats()
     assert first["decode.misses"] == 2 and first["decode.hits"] == 0
     assert second["decode.misses"] == 2 and second["decode.hits"] == 2
     assert second["decode.cached"] == 2

@@ -136,10 +136,10 @@ class TestBatchParity:
         lines = _stream("hom", 8, seed=9)
         session = SolverSession()
         first = list(iter_results(lines, workers=1, session=session))
-        warm_before = session.stats()["engine"]["hits"]
+        warm_before = session.stats()["engine.memo.hits"]
         second = list(iter_results(lines, workers=1, session=session))
         assert first == second
-        assert session.stats()["engine"]["hits"] > warm_before
+        assert session.stats()["engine.memo.hits"] > warm_before
         assert session.tasks_evaluated == 16
 
     def test_iter_results_rejects_session_with_workers(self):
@@ -529,7 +529,8 @@ class TestServeCli:
         env = dict(os.environ, PYTHONPATH=os.path.dirname(
             os.path.dirname(repro.__file__)))
         completed = subprocess.run(
-            [sys.executable, "-m", "repro", "serve", "--workers", "2"],
+            [sys.executable, "-m", "repro", "serve", "start", "--workers",
+             "2"],
             input="\n".join(lines) + "\n", capture_output=True, text=True,
             env=env, timeout=120)
         assert completed.returncode == 0, completed.stderr

@@ -6,8 +6,8 @@ The contract under test (DESIGN.md §10):
 * one session shared across decide → witness → refute reuses every
   compiled target and memoized count (zero redundant work on repeats,
   strictly less total work than isolated per-stage sessions);
-* the legacy ``default_engine()`` singleton is a faithful shim over
-  the module-level default session.
+* a call without a session runs under the module-level default
+  session.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.core.refuter import search_lattice_counterexample
 from repro.core.witness import construct_counterexample
 from repro.core.workbench import ViewCatalog
 from repro.errors import ReproError
-from repro.hom.engine import HomEngine, default_engine
 from repro.queries.parser import parse_boolean_cq
 from repro.session import (
     SolverSession,
@@ -37,9 +36,9 @@ def _undetermined_instance():
     return [view], query
 
 
-def _memo_totals(engine_stats) -> tuple:
-    return (engine_stats["misses"], engine_stats["exists_misses"],
-            engine_stats["compiled_targets"])
+def _memo_totals(stats) -> tuple:
+    return (stats["engine.memo.misses"], stats["engine.exists.misses"],
+            stats["engine.targets.compiled"])
 
 
 # ----------------------------------------------------------------------
@@ -53,24 +52,24 @@ class TestIsolation:
         assert first.engine is not second.engine
 
         decide_bag_determinacy(views, query, session=first)
-        busy = first.stats()["engine"]
-        idle = second.stats()["engine"]
-        assert busy["exists_misses"] > 0
-        assert idle["exists_misses"] == 0
-        assert idle["compiled_targets"] == 0
+        busy = first.stats()
+        idle = second.stats()
+        assert busy["engine.exists.misses"] > 0
+        assert idle["engine.exists.misses"] == 0
+        assert idle["engine.targets.compiled"] == 0
 
         # The second session must redo the probes — nothing leaked over.
         decide_bag_determinacy(views, query, session=second)
-        redone = second.stats()["engine"]
-        assert redone["exists_misses"] == busy["exists_misses"]
-        assert first.stats()["engine"]["exists_misses"] == busy["exists_misses"]
+        redone = second.stats()
+        assert redone["engine.exists.misses"] == busy["engine.exists.misses"]
+        assert first.stats()["engine.exists.misses"] == busy["engine.exists.misses"]
 
     def test_session_counts_do_not_touch_default_session(self):
         session = SolverSession()
-        before = default_session().stats()["engine"]["misses"]
+        before = default_session().stats()["engine.memo.misses"]
         session.count(path_structure(["R", "R"]), clique_structure(4))
-        assert default_session().stats()["engine"]["misses"] == before
-        assert session.stats()["engine"]["misses"] > 0
+        assert default_session().stats()["engine.memo.misses"] == before
+        assert session.stats()["engine.memo.misses"] > 0
 
     def test_task_accounting_is_per_session(self):
         first = SolverSession()
@@ -97,11 +96,11 @@ class TestSharing:
         views, query = _undetermined_instance()
         session = SolverSession()
         decide_bag_determinacy(views, query, session=session)
-        first = session.stats()["engine"]
+        first = session.stats()
         decide_bag_determinacy(views, query, session=session)
-        second = session.stats()["engine"]
+        second = session.stats()
         assert _memo_totals(second) == _memo_totals(first)
-        assert second["exists_hits"] > first["exists_hits"]
+        assert second["engine.exists.hits"] > first["engine.exists.hits"]
 
     def test_witness_reuses_deciding_session(self):
         """decide → witness over one session: the witness construction
@@ -114,13 +113,13 @@ class TestSharing:
 
         pair = construct_counterexample(result)
         assert pair.verify(session.engine).ok
-        after_first = session.stats()["engine"]
-        assert after_first["misses"] > 0  # counting happened *here*
+        after_first = session.stats()
+        assert after_first["engine.memo.misses"] > 0  # counting happened *here*
 
         construct_counterexample(result)
-        after_second = session.stats()["engine"]
+        after_second = session.stats()
         assert _memo_totals(after_second) == _memo_totals(after_first)
-        assert after_second["hits"] >= after_first["hits"]
+        assert after_second["engine.memo.hits"] >= after_first["engine.memo.hits"]
 
     def test_shared_pipeline_beats_isolated_sessions(self):
         """decide → witness → refute sharing one session performs
@@ -133,10 +132,10 @@ class TestSharing:
         construct_counterexample(result)
         assert search_lattice_counterexample(views, query,
                                              session=shared) is not None
-        shared_stats = shared.stats()["engine"]
-        shared_work = (shared_stats["misses"]
-                       + shared_stats["exists_misses"])
-        assert shared_stats["hits"] + shared_stats["exists_hits"] > 0
+        shared_stats = shared.stats()
+        shared_work = (shared_stats["engine.memo.misses"]
+                       + shared_stats["engine.exists.misses"])
+        assert shared_stats["engine.memo.hits"] + shared_stats["engine.exists.hits"] > 0
 
         isolated_work = 0
         decide_session = SolverSession()
@@ -147,9 +146,9 @@ class TestSharing:
         refute_session = SolverSession()
         search_lattice_counterexample(views, query, session=refute_session)
         for stage in (decide_session, witness_session, refute_session):
-            stage_stats = stage.stats()["engine"]
-            isolated_work += (stage_stats["misses"]
-                              + stage_stats["exists_misses"])
+            stage_stats = stage.stats()
+            isolated_work += (stage_stats["engine.memo.misses"]
+                              + stage_stats["engine.exists.misses"])
         assert shared_work < isolated_work
 
     def test_view_catalog_shares_session_with_evolved_catalogs(self):
@@ -158,42 +157,24 @@ class TestSharing:
         assert grown.session is catalog.session
         query = parse_boolean_cq("R(x,y), R(u,v)")
         assert catalog.can_answer(query)
-        before = catalog.session.stats()["engine"]["exists_misses"]
+        before = catalog.session.stats()["engine.exists.misses"]
         grown.decide(query)
         # the grown catalog's probes against the shared view all hit
-        after = grown.session.stats()["engine"]
-        assert after["exists_hits"] > 0
-        assert after["exists_misses"] >= before  # only the new view misses
+        after = grown.session.stats()
+        assert after["engine.exists.hits"] > 0
+        assert after["engine.exists.misses"] >= before  # only the new view misses
 
 
 # ----------------------------------------------------------------------
-# resolve_session / adoption semantics
+# resolve_session / configuration checks
 # ----------------------------------------------------------------------
 class TestResolution:
     def test_explicit_session_wins(self):
         session = SolverSession()
         assert resolve_session(session) is session
 
-    def test_bare_engine_is_adopted(self):
-        engine = HomEngine()
-        session = resolve_session(None, engine)
-        assert session.engine is engine
-
-    def test_matching_session_and_engine_accepted(self):
-        session = SolverSession()
-        assert resolve_session(session, session.engine) is session
-
-    def test_conflicting_session_and_engine_rejected(self):
-        with pytest.raises(ReproError, match="disagree"):
-            resolve_session(SolverSession(), HomEngine())
-
     def test_none_resolves_to_default(self):
         assert resolve_session() is default_session()
-
-    def test_adopted_engine_refuses_reconfiguration(self):
-        engine = HomEngine()
-        with pytest.raises(ReproError, match="adopt"):
-            SolverSession(engine=engine, strategy="dp")
 
     def test_store_and_store_path_are_mutually_exclusive(self):
         with pytest.raises(ReproError, match="not both"):
@@ -217,8 +198,8 @@ class TestStoreOwnership:
 
         with SolverSession(store_path=path) as warm:
             assert warm.count(source, target) == expected
-            assert warm.stats()["engine"]["store_hits"] == 1
-            assert "store" in warm.stats()
+            assert warm.stats()["engine.store.hits"] == 1
+            assert "store.counts" in warm.stats()
 
     def test_close_is_idempotent(self, tmp_path):
         session = SolverSession(store_path=str(tmp_path / "s.sqlite"))
@@ -239,24 +220,19 @@ class TestStoreOwnership:
 
 
 # ----------------------------------------------------------------------
-# The default_engine() shim
+# The module-level default session
 # ----------------------------------------------------------------------
 class TestDefaultEngineShim:
-    def test_shim_is_the_default_sessions_engine(self):
-        assert default_engine() is default_session().engine
-
-    def test_shim_is_stable_across_calls(self):
-        assert default_engine() is default_engine()
+    """Sessionless calls resolve to the module-level default session."""
 
     def test_set_default_session_redirects_shim(self):
         scoped = SolverSession()
         previous = set_default_session(scoped)
         try:
-            assert default_engine() is scoped.engine
             assert default_session() is scoped
         finally:
             set_default_session(previous)
-        assert default_engine() is not scoped.engine
+        assert default_session() is not scoped
 
     def test_sessionless_decide_uses_default_session(self):
         scoped = SolverSession()
@@ -265,13 +241,6 @@ class TestDefaultEngineShim:
             views, query = _undetermined_instance()
             result = decide_bag_determinacy(views, query)
             assert result.session is scoped
-            assert scoped.stats()["engine"]["exists_misses"] > 0
+            assert scoped.stats()["engine.exists.misses"] > 0
         finally:
             set_default_session(previous)
-
-    def test_legacy_engine_argument_still_works(self):
-        views, query = _undetermined_instance()
-        engine = HomEngine()
-        result = decide_bag_determinacy(views, query, engine=engine)
-        assert result.session.engine is engine
-        assert engine.exists_misses > 0
