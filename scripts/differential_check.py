@@ -9,9 +9,11 @@ test-time property checks into a CI job.  Two checks, each over
 1. every counting path agrees bit-for-bit on random (source, target)
    pairs —
 
-   * the compiled backtracking engine (``strategy="backtrack"``),
-   * the tree-decomposition DP (``strategy="dp"``),
-   * the ``auto`` cost-model dispatcher,
+   * the backtracking kernel, called by name (``_count``),
+   * the tree-decomposition DP kernel, called by name
+     (:func:`repro.hom.dpcount.count_plan_dp`),
+   * the engine, whose cost model picks one of the two
+     (``HomEngine().count``),
    * the naive enumeration oracle
      (:func:`repro.hom.search.count_homomorphisms_direct`);
 
@@ -40,7 +42,13 @@ import sys
 
 sys.path.insert(0, "src")
 
-from repro.hom.engine import HomEngine  # noqa: E402
+from repro.hom.dpcount import count_plan_dp  # noqa: E402
+from repro.hom.engine import (  # noqa: E402
+    HomEngine,
+    TargetIndex,
+    _count,
+    source_plan,
+)
 from repro.hom.search import count_homomorphisms_direct  # noqa: E402
 from repro.structures.canonical import canonical_key  # noqa: E402
 from repro.structures.generators import (  # noqa: E402
@@ -69,14 +77,16 @@ def check_pair(index: int, rng: random.Random) -> int:
         SCHEMA, rng.randint(1, args.max_size + 1), density=0.4, rng=rng,
         ensure_nonempty=True)
     oracle = count_homomorphisms_direct(source, target)
+    plan, compiled = source_plan(source), TargetIndex(target)
     results = {
-        strategy: HomEngine(strategy=strategy).count(source, target)
-        for strategy in ("backtrack", "dp", "auto")
+        "backtrack": _count(plan, compiled, False),
+        "dp": count_plan_dp(plan, compiled),
+        "engine": HomEngine().count(source, target),
     }
-    for strategy, value in results.items():
+    for path, value in results.items():
         if value != oracle:
             print(f"MISMATCH at pair {index} (seed {args.seed}): "
-                  f"{strategy}={value} oracle={oracle}\n"
+                  f"{path}={value} oracle={oracle}\n"
                   f"  source={source!r}\n  target={target!r}",
                   file=sys.stderr)
             return 1

@@ -34,11 +34,11 @@ E-series benchmarks in ``benchmarks/``:
 * ``linalg_det``             — Bareiss fraction-free determinant vs the
   textbook Fraction-Gauss reference on a radix-style integer matrix.
 
-Every engine-built workload routes its sessions through one factory
-(:func:`bench_session`), so a bench run reports unified session stats
-instead of scattering anonymous ``HomEngine()`` instances.  Every
-workload cross-checks its counts against ground truth before timing,
-so a regression in correctness fails the bench run itself.
+Every engine-built workload counts through a fresh
+:class:`~repro.session.SolverSession`, the production surface; only
+the ablations call a kernel by name.  Every workload cross-checks its
+counts against ground truth before timing, so a regression in
+correctness fails the bench run itself.
 """
 
 from __future__ import annotations
@@ -49,10 +49,13 @@ import time
 from typing import Callable, Dict, List
 
 from repro.hom.count import count_homs
+from repro.hom.dpcount import _count_plan_dp_sets, count_plan_dp
 from repro.hom.engine import (
     TargetIndex,
+    _count,
+    _count_bitset,
+    _count_sets,
     choose_strategy,
-    count_plan,
     source_plan,
 )
 from repro.hom.search import count_homomorphisms_direct
@@ -68,16 +71,6 @@ from repro.structures.generators import (
 from repro.structures.operations import sum_with_multiplicities
 from repro.structures.structure import Structure
 from repro.core.decision import decide_bag_determinacy
-
-
-def bench_session(**knobs) -> SolverSession:
-    """The one session factory every bench workload goes through.
-
-    Cold workloads get a fresh scoped session (same configuration
-    surface as production: strategy/store/limits via ``knobs``); the
-    factory is the single place a bench-wide override would be wired.
-    """
-    return SolverSession(**knobs)
 
 
 def _component_pool():
@@ -136,7 +129,7 @@ def run_benchmarks(repeat: int = 3) -> Dict[str, object]:
     assert count_homomorphisms_direct(path3, big) == expected
 
     def cold_engine():
-        session = bench_session()
+        session = SolverSession()
         for _ in range(5):
             session.clear()
             session.count(path3, big)
@@ -172,7 +165,7 @@ def run_benchmarks(repeat: int = 3) -> Dict[str, object]:
     truth = count_homomorphisms_direct(source, target)
 
     def canonical_memo():
-        session = bench_session()
+        session = SolverSession()
         for _ in range(3):
             session.clear()
             assert session.count(source, target) == truth
@@ -258,7 +251,7 @@ def run_benchmarks(repeat: int = 3) -> Dict[str, object]:
     assert count_homs(path4, big_target) == truth_large
 
     def interned_large():
-        session = bench_session()
+        session = SolverSession()
         for _ in range(3):
             session.clear()
             assert session.count(path4, big_target) == truth_large
@@ -304,22 +297,21 @@ def run_benchmarks(repeat: int = 3) -> Dict[str, object]:
     index = TargetIndex(dense_target)
     plans = [source_plan(grid), source_plan(chain)]
     for plan in plans:
-        truth = count_plan(plan, index, strategy="backtrack")
-        assert count_plan(plan, index, strategy="dp") == truth
-    assert count_plan(source_plan(chain), index, strategy="dp") == \
+        truth = _count(plan, index, False)
+        assert count_plan_dp(plan, index) == truth
+    assert count_plan_dp(source_plan(chain), index) == \
         count_homomorphisms_direct(chain, dense_target)
-    # No override flag: the cost model must pick the DP by itself.
-    # Reported as a measured 0/1 (not asserted-then-hardcoded) so a
-    # plan-selection regression shows up in the JSON trajectory even
-    # when asserts are stripped.
+    # The kernels run by name above; the cost model must pick the DP
+    # by itself.  Reported as a measured 0/1 (not asserted-then-
+    # hardcoded) so a plan-selection regression shows up in the JSON
+    # trajectory even when asserts are stripped.
     auto_picks_dp = float(all(
         choose_strategy(plan, index) == "dp" for plan in plans))
     assert auto_picks_dp == 1.0
 
-    backtrack = _timeit(lambda: [count_plan(p, index, strategy="backtrack")
-                                 for p in plans], repeat)
-    dp = _timeit(lambda: [count_plan(p, index, strategy="dp")
-                          for p in plans], repeat)
+    backtrack = _timeit(lambda: [_count(p, index, False) for p in plans],
+                        repeat)
+    dp = _timeit(lambda: [count_plan_dp(p, index) for p in plans], repeat)
     workloads["hom_treewidth"] = {
         "backtracking_engine_s": backtrack,
         "dp_engine_s": dp,
@@ -336,9 +328,6 @@ def run_benchmarks(repeat: int = 3) -> Dict[str, object]:
     # triangles glued at a vertex) into a dense 6-element target; all
     # four kernels are cross-checked against the direct counter before
     # timing.
-    from repro.hom.dpcount import _count_plan_dp_sets, count_plan_dp
-    from repro.hom.engine import _count_bitset, _count_sets
-
     dense6 = Structure(
         [("R", (i, j)) for i in range(6) for j in range(6) if i != j],
         domain=range(6))
@@ -415,11 +404,11 @@ def run_benchmarks(repeat: int = 3) -> Dict[str, object]:
             f"svc-{index:03d}", source, svc_rng.choice(svc_targets))))
 
     def serve_warm() -> List[str]:
-        with bench_session() as session:
+        with SolverSession() as session:
             return [evaluate_line(line, session) for line in stream]
 
     def dispatch_cold() -> List[str]:
-        return [evaluate_line(line, bench_session()) for line in stream]
+        return [evaluate_line(line, SolverSession()) for line in stream]
 
     warm_results = serve_warm()
     cold_results = dispatch_cold()
@@ -515,7 +504,7 @@ def run_benchmarks(repeat: int = 3) -> Dict[str, object]:
     conc_clients = 16
     conc_requests = 12
     conc_total = conc_clients * conc_requests
-    conc_expected = [evaluate_line(line, bench_session())
+    conc_expected = [evaluate_line(line, SolverSession())
                      for line in conc_lines]
 
     with AsyncDaemonHandle(workers=4) as async_handle:

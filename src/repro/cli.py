@@ -342,7 +342,7 @@ def _cmd_serve_start(args: argparse.Namespace) -> int:
         workers=args.workers, max_queue=args.max_queue,
         store_path=args.cache, shards=args.shards,
         preload_pack=args.preload_pack,
-        strategy=args.strategy, preload=args.preload, logger=logger,
+        preload=args.preload, logger=logger,
         request_deadline_ms=args.request_deadline_ms,
         max_inflight=args.tenant_max_inflight)
 
@@ -675,9 +675,6 @@ def build_parser() -> argparse.ArgumentParser:
     start.add_argument("--preload", type=int, default=2048, metavar="K",
                        help="stored counts seeded into each new session's "
                             "memo when --cache is given (default: 2048)")
-    start.add_argument("--strategy", default="auto",
-                       choices=["auto", "backtrack", "dp"],
-                       help="counting-backend override for the sessions")
     start.add_argument("--no-request-log", action="store_true",
                        help="disable the per-request structured JSON log "
                             "lines on stderr")

@@ -203,13 +203,14 @@ def injected_exceeded() -> BudgetExceeded:
 def may_degrade(exc: BudgetExceeded) -> bool:
     """Arbiter of the one-shot DP→backtracking degradation.
 
-    Consulted by the engine (``strategy=auto`` only) when the DP
-    backend trips a budget.  A *deadline* trip never degrades — the
-    wall clock is spent either way.  A *steps* trip degrades through
-    :meth:`Budget.allow_degrade` (work budget lifted, deadline keeps
-    guarding, one retry ever).  An *injected* trip degrades whenever
-    the deadline (if any) still has room — the deterministic handle
-    the fault harness uses to exercise this path.
+    Consulted by the engine's dispatcher (``HomEngine._dispatch``)
+    when a DP count its cost model chose trips a budget.  A *deadline*
+    trip never degrades — the wall clock is spent either way.  A
+    *steps* trip degrades through :meth:`Budget.allow_degrade` (work
+    budget lifted, deadline keeps guarding, one retry ever).  An
+    *injected* trip degrades whenever the deadline (if any) still has
+    room — the deterministic handle the fault harness uses to exercise
+    this path.
     """
     if exc.reason == "deadline":
         return False

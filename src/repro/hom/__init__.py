@@ -20,11 +20,12 @@ backtracking with forward checking, and bag-table dynamic programming
 over a nice tree decomposition (:mod:`repro.hom.decompose` /
 :mod:`repro.hom.dpcount`) that is polynomial for bounded-treewidth
 sources; :func:`~repro.hom.engine.choose_strategy` picks per
-``(source, target)`` pair by estimated cost.  ``count_homs`` uses the
-shared process-wide engine by default; construct a ``HomEngine`` to
-scope the memoization (as the decision procedure and
-:class:`ViewCatalog` do), or pass a plain dict for the legacy
-exact-key cache.
+``(source, target)`` pair by estimated cost, and the engine is the only
+caller that acts on its verdict.  ``count_homs`` counts under the
+engine of :func:`~repro.session.resolve_session` (the caller's
+``session=``, else the process default session); pass a ``HomEngine``
+to scope the memoization, or a plain dict for the exact-key cache that
+runs the naive counter as an independent audit path.
 :func:`~repro.hom.search.count_homomorphisms_direct` stays the naive
 recursive ground truth that both backends are property-tested against.
 """

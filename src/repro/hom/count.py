@@ -26,11 +26,10 @@ compiled once, counts shared across isomorphic components, each leaf
 count routed to backtracking or tree-decomposition DP by the engine's
 cost model — see DESIGN.md §9), pass ``session=`` (or a
 :class:`~repro.hom.engine.HomEngine` as the cache) to scope the
-memoization (or to force a backend via the ``strategy`` knob), or pass
-a plain ``dict`` for the exact-key cache — dict-cached counting
-deliberately runs the *naive* recursive backtracker, so it stays an
-independent audit path for engine-produced results (the witness
-verifier relies on this).
+memoization, or pass a plain ``dict`` for the exact-key cache —
+dict-cached counting deliberately runs the *naive* recursive
+backtracker, so it stays an independent audit path for engine-produced
+results (the witness verifier relies on this).
 """
 
 from __future__ import annotations

@@ -11,10 +11,10 @@ worker processes:
   gets its own :class:`~repro.service.tenant.Tenant`, pinned when it
   is created to the least-loaded of ``workers`` forked worker
   processes.  That worker owns the tenant's
-  :class:`~repro.session.SolverSession` (own engine, memo bounds,
-  strategy and PR 8 budget defaults).  Tenants on different workers
-  count in parallel on different cores; tenants sharing a worker take
-  turns on it.  The event loop never evaluates: it sends each admitted
+  :class:`~repro.session.SolverSession` (own engine, memo bounds and
+  PR 8 budget defaults).  Tenants on different workers count in
+  parallel on different cores; tenants sharing a worker take turns on
+  it.  The event loop never evaluates: it sends each admitted
   line down its tenant's worker pipe and resolves the request's future
   when the answer comes back.
 * **Priorities** — every request may carry ``"priority": <int>``
@@ -39,7 +39,8 @@ worker processes:
 The protocol: request lines are the batch task codec
 (:mod:`repro.batch.tasks`) plus control lines, JSON objects carrying
 an ``"op"`` key (``ping``, ``stats``, ``metrics``, ``drain``,
-``shutdown``, ``hello``, ``batch``).  Task answers are byte-identical
+``shutdown``, plus ``hello`` and ``batch``, which only a persistent
+TCP or WebSocket connection answers).  Task answers are byte-identical
 to batch mode, because evaluation funnels through the same
 :func:`~repro.batch.runner.evaluate_envelope`.  A connection answers
 in request order by default, so piping a scenario file through the
@@ -65,6 +66,7 @@ import asyncio
 import heapq
 import itertools
 import json
+import math
 import os
 import socket
 import sys
@@ -90,6 +92,7 @@ from repro.obs.logs import StructuredLogger, new_request_id
 from repro.obs.metrics import MetricsRegistry, merge_counter_snapshots
 from repro.obs.trace import collect_phases
 from repro.service.tenant import (
+    QUOTA_KEYS,
     LockedStore,
     Tenant,
     TenantQuota,
@@ -98,8 +101,10 @@ from repro.service.tenant import (
 from repro.session import SolverSession
 
 DEFAULT_MAX_QUEUE = 256
-CONTROL_OPS = ("ping", "stats", "metrics", "drain", "shutdown", "hello",
-               "batch")
+CONTROL_OPS = ("ping", "stats", "metrics", "drain", "shutdown")
+#: Ops that configure or stream over one persistent connection: the
+#: TCP and WebSocket front ends answer them, stdio and HTTP POST refuse.
+CONNECTION_OPS = ("hello", "batch")
 
 #: Exit status of a worker killed by the ``serve.worker`` fault point.
 _FAULT_EXIT = 87
@@ -219,9 +224,9 @@ class _WorkerState:
         if session is None:
             # A tenant's quota travels with its first job to a worker.
             session = self.sessions[name] = SolverSession(
-                store=self.store, strategy=quota.strategy,
-                max_counts=quota.max_counts, max_targets=quota.max_targets,
-                preload=self.preload, default_deadline_ms=quota.deadline_ms)
+                store=self.store, max_counts=quota.max_counts,
+                max_targets=quota.max_targets, preload=self.preload,
+                default_deadline_ms=quota.deadline_ms)
         start = time.perf_counter()
         phases = None
         try:
@@ -400,7 +405,7 @@ class AsyncSolverService:
     this process may use); ``max_queue`` bounds how many admitted
     requests may wait in the parent before new ones are answered
     ``overloaded``.  Tenant defaults (``max_inflight``,
-    ``request_deadline_ms``, ``strategy``, memo bounds) seed the quota
+    ``request_deadline_ms``, memo bounds) seed the quota
     every anonymous connection gets; named tenants override them via
     the hello op.  With ``store_path``, each worker opens the
     persistent store and shares it among its tenants; the parent opens
@@ -412,7 +417,6 @@ class AsyncSolverService:
                  store_path: Optional[str] = None,
                  shards: Optional[int] = None,
                  preload_pack: Optional[str] = None,
-                 strategy: str = "auto",
                  preload: int = 0,
                  logger: Optional[StructuredLogger] = None,
                  request_deadline_ms: Optional[float] = None,
@@ -438,8 +442,7 @@ class AsyncSolverService:
         default_quota = TenantQuota(
             max_inflight=max_inflight if max_inflight is not None
             else TenantQuota.max_inflight,
-            deadline_ms=request_deadline_ms,
-            strategy=strategy)
+            deadline_ms=request_deadline_ms)
         self.tenants = TenantRegistry(self.metrics,
                                       default_quota=default_quota,
                                       workers=self.workers,
@@ -702,7 +705,10 @@ class AsyncSolverService:
         task_id = record.get("id") if isinstance(record, dict) else None
         if priority is None and isinstance(record, dict):
             raw = record.get("priority")
-            if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+            # json.loads accepts NaN and Infinity: they fall back to
+            # the tenant default like any other non-numeric priority.
+            if (isinstance(raw, int) and not isinstance(raw, bool)) or \
+                    (isinstance(raw, float) and math.isfinite(raw)):
                 priority = int(raw)
         if priority is None:
             priority = tenant.quota.priority
@@ -823,8 +829,9 @@ class AsyncSolverService:
     def control_record(self, record: dict
                        ) -> Union[str, "asyncio.Future[str]"]:
         """The answer to one control record: a line, or a future of one
-        for the ops that ask the workers (stats, metrics).  The front
-        ends intercept hello/batch before calling here."""
+        for the ops that ask the workers (stats, metrics).  The TCP,
+        WebSocket and HTTP front ends intercept hello/batch before
+        calling here, so only stdio gets the refusal below."""
         op = record.get("op")
         self.stats_counters.record_control()
         rid = record.get("rid")
@@ -858,10 +865,16 @@ class AsyncSolverService:
         if op == "shutdown":
             self.request_drain()
             return _reply({"ok": True, "op": "shutdown"})
+        if op in CONNECTION_OPS:
+            return _reply({
+                "ok": False, "op": op,
+                "error": f"{op} op needs a TCP connection (serve start "
+                         f"--port); stdio answers task lines and the ops "
+                         f"{list(CONTROL_OPS)}"})
         return _reply({
             "ok": False, "op": str(op),
             "error": f"unknown control op {op!r}; "
-                     f"expected one of {list(CONTROL_OPS)}"})
+                     f"expected one of {list(CONTROL_OPS + CONNECTION_OPS)}"})
 
 
 def parse_control(line: str) -> Optional[dict]:
@@ -1010,18 +1023,16 @@ class _Connection:
     def _handle_hello(self, record: dict) -> str:
         service = self.service
         rid = record.get("rid")
-        quota_keys = ("max_inflight", "deadline_ms", "max_counts",
-                      "max_targets", "priority", "strategy")
         try:
-            unknown = set(record) - set(quota_keys) - \
+            unknown = set(record) - set(QUOTA_KEYS) - \
                 {"op", "rid", "tenant", "mode"}
             if unknown:
                 raise ReproError(
                     f"unknown hello key(s) {sorted(unknown)}; expected "
-                    f"tenant/mode plus quota keys {list(quota_keys)}")
+                    f"tenant/mode plus quota keys {list(QUOTA_KEYS)}")
             name = record.get("tenant")
             overrides = {key: record[key]
-                         for key in quota_keys if key in record}
+                         for key in QUOTA_KEYS if key in record}
             if name is not None:
                 if not isinstance(name, str) or not name:
                     raise ReproError(

@@ -35,6 +35,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.batch.tasks import canonical_json
 from repro.service.async_daemon import (
+    CONNECTION_OPS,
     AsyncSolverService,
     parse_control,
     strip_rid,
@@ -217,7 +218,7 @@ async def _route(service: AsyncSolverService, method: str, path: str,
         control = parse_control(line)
         if control is not None:
             op = control.get("op")
-            if op in ("hello", "batch"):
+            if op in CONNECTION_OPS:
                 payload = canonical_json({
                     "ok": False, "op": op,
                     "error": f"{op} op needs a persistent connection; "

@@ -1,17 +1,16 @@
 """Per-connection tenancy for the daemon (DESIGN.md §16).
 
 One session shared by every client would let a single hot tenant
-convoy everyone else, and could not give two clients different
-strategies, budgets or memo bounds.  The daemon
-(:mod:`repro.service.async_daemon`) instead gives each connection — or
-each named tenant across connections — its own :class:`Tenant`:
+convoy everyone else, and could not give two clients different budgets
+or memo bounds.  The daemon (:mod:`repro.service.async_daemon`)
+instead gives each connection — or each named tenant across
+connections — its own :class:`Tenant`:
 
 * an isolated :class:`~repro.session.SolverSession` (own engine, own
-  memo, own budget defaults), so one tenant's deadline trips, strategy
-  override or memo churn never leak into another's.  The session lives
-  in the worker process the tenant is pinned to; this module keeps
-  only the tenant's quota, pin and accounting, in the event-loop
-  process;
+  memo, own budget defaults), so one tenant's deadline trips or memo
+  churn never leak into another's.  The session lives in the worker
+  process the tenant is pinned to; this module keeps only the
+  tenant's quota, pin and accounting, in the event-loop process;
 * a **quota** (:class:`TenantQuota`): max in-flight requests admitted
   at once, per-request deadline default (PR 8 budgets), memo bounds,
   and a default priority for the dispatch queue;
@@ -26,12 +25,12 @@ serialization).
 
 from __future__ import annotations
 
+import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional
 
 from repro.errors import ReproError
-from repro.hom.engine import STRATEGIES
 from repro.obs.metrics import MetricsRegistry
 
 DEFAULT_MAX_INFLIGHT = 8
@@ -113,19 +112,30 @@ class TenantQuota:
     max_counts: int = 16384
     max_targets: int = 512
     priority: int = 5
-    strategy: str = "auto"
 
     def validate(self) -> None:
+        # Hello values arrive straight from JSON: a string, a bool or
+        # a NaN would otherwise surface later as an exception in the
+        # event loop or in every task of the tenant.  The deadline
+        # bound also keeps the float() in get_or_create from
+        # overflowing.
+        for key in ("max_inflight", "max_counts", "max_targets",
+                    "priority"):
+            value = getattr(self, key)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ReproError(
+                    f"tenant {key} must be an integer, got {value!r}")
         if self.max_inflight < 1:
             raise ReproError(
                 f"tenant max_inflight must be >= 1, got {self.max_inflight}")
-        if self.deadline_ms is not None and self.deadline_ms <= 0:
+        deadline = self.deadline_ms
+        if deadline is not None and (
+                not isinstance(deadline, (int, float))
+                or isinstance(deadline, bool)
+                or not 0 < deadline <= sys.float_info.max):
             raise ReproError(
-                f"tenant deadline_ms must be > 0, got {self.deadline_ms}")
-        if self.strategy not in STRATEGIES:
-            raise ReproError(
-                f"unknown tenant strategy {self.strategy!r}; "
-                f"expected one of {STRATEGIES}")
+                f"tenant deadline_ms must be null or a positive number, "
+                f"got {deadline!r}")
 
 
 class Tenant:
@@ -167,7 +177,6 @@ class Tenant:
             "connections": self.connections,
             "max_inflight": self.quota.max_inflight,
             "priority": self.quota.priority,
-            "strategy": self.quota.strategy,
             "deadline_ms": self.quota.deadline_ms,
             "tasks_evaluated": self.tasks_evaluated,
             "worker": self.worker,
@@ -180,8 +189,8 @@ class Tenant:
 
 #: hello-op keys that configure a TenantQuota (everything else in the
 #: hello payload is connection state, not tenant state).
-_QUOTA_KEYS = ("max_inflight", "deadline_ms", "max_counts",
-               "max_targets", "priority", "strategy")
+QUOTA_KEYS = ("max_inflight", "deadline_ms", "max_counts",
+              "max_targets", "priority")
 
 
 class TenantRegistry:
@@ -271,24 +280,22 @@ class TenantRegistry:
         quota values or omit them; a contradicting value raises.
         """
         overrides = overrides or {}
-        unknown = set(overrides) - set(_QUOTA_KEYS)
+        unknown = set(overrides) - set(QUOTA_KEYS)
         if unknown:
             raise ReproError(
                 f"unknown tenant quota key(s) {sorted(unknown)}; "
-                f"expected a subset of {list(_QUOTA_KEYS)}")
+                f"expected a subset of {list(QUOTA_KEYS)}")
+        quota = replace(self.default_quota, **overrides)
+        quota.validate()
+        if quota.deadline_ms is not None:
+            quota = replace(quota, deadline_ms=float(quota.deadline_ms))
         with self._lock:
             tenant = self._tenants.get(name)
             if tenant is None:
-                base = {key: getattr(self.default_quota, key)
-                        for key in _QUOTA_KEYS}
-                base.update(overrides)
-                if base.get("deadline_ms") is not None:
-                    base["deadline_ms"] = float(base["deadline_ms"])
-                return self._build(name, TenantQuota(**base))
-            for key, value in overrides.items():
+                return self._build(name, quota)
+            for key in overrides:
                 current = getattr(tenant.quota, key)
-                if key == "deadline_ms" and value is not None:
-                    value = float(value)
+                value = getattr(quota, key)
                 if value != current:
                     raise ReproError(
                         f"tenant {name!r} already exists with "

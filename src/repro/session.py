@@ -3,8 +3,8 @@
 Every decision procedure in the library bottoms out in the compiled
 counting engine (:mod:`repro.hom.engine`).  A resident service
 answering thousands of tasks needs one place that owns the engine, the
-persistent store, the strategy override and the memo limits — and that
-can report aggregated statistics over its lifetime.
+persistent store and the memo limits — and that can report aggregated
+statistics over its lifetime.
 
 :class:`SolverSession` is that place.  One session owns:
 
@@ -14,7 +14,7 @@ can report aggregated statistics over its lifetime.
   engine's duck-typed store protocol, or the path of a
   :class:`~repro.batch.store.TieredHomStore` the session opens (and
   then closes) itself;
-* the counting ``strategy`` override and the memo bounds;
+* the memo bounds and the per-request budget defaults;
 * session-level counters (tasks evaluated, errors) that the batch
   runner and the request service feed.
 
@@ -37,12 +37,12 @@ from typing import Dict, Optional
 
 from repro.errors import ReproError
 from repro.faults.budget import Budget
-from repro.hom.engine import STRATEGIES, HomEngine
+from repro.hom.engine import HomEngine
 from repro.obs.metrics import PROCESS_METRICS, MetricsRegistry
 
 
 class SolverSession:
-    """Explicit ownership of engine, store, strategy and statistics.
+    """Explicit ownership of engine, store and statistics.
 
     Parameters
     ----------
@@ -62,8 +62,6 @@ class SolverSession:
         Path to a warm-start pack (``repro cache warm-pack``) whose
         rows are imported into the owned store before serving — the
         engine's first probes for packed keys become store hits.
-    strategy:
-        Counting-backend override, ``"auto"``/``"backtrack"``/``"dp"``.
     max_counts / max_targets:
         Memo bounds forwarded to the engine.
     preload:
@@ -86,7 +84,6 @@ class SolverSession:
     def __init__(self, *, store=None, store_path: Optional[str] = None,
                  shards: Optional[int] = None,
                  preload_pack: Optional[str] = None,
-                 strategy: str = "auto",
                  max_counts: int = 16384, max_targets: int = 512,
                  preload: int = 0,
                  default_deadline_ms: Optional[float] = None,
@@ -108,10 +105,6 @@ class SolverSession:
             raise ReproError(
                 "shards=/preload_pack= configure the session-owned "
                 "store and require store_path=")
-        if strategy not in STRATEGIES:
-            raise ReproError(
-                f"unknown counting strategy {strategy!r}; "
-                f"expected one of {STRATEGIES}")
         self._owns_store = False
         if store_path is not None:
             from repro.batch.store import TieredHomStore, import_warm_pack
@@ -123,7 +116,7 @@ class SolverSession:
         self._store = store
         self.engine = HomEngine(max_counts=max_counts,
                                 max_targets=max_targets,
-                                store=store, strategy=strategy)
+                                store=store)
         if store is not None and preload > 0:
             seeder = getattr(store, "preload", None)
             if seeder is not None:
@@ -214,10 +207,6 @@ class SolverSession:
     @property
     def store(self):
         return self.engine.store
-
-    @property
-    def strategy(self) -> str:
-        return self.engine.strategy
 
     # ------------------------------------------------------------------
     # Request accounting (fed by the batch runner and the service)

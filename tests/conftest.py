@@ -28,6 +28,17 @@ def rng() -> random.Random:
 
 
 @pytest.fixture
+def force_backend(monkeypatch):
+    """``force_backend("dp")`` sends every later engine count to that
+    kernel by patching the verdict the engine's dispatcher reads
+    (:func:`repro.hom.engine.choose_strategy`); undone after the test."""
+    def force(backend: str) -> None:
+        monkeypatch.setattr("repro.hom.engine.choose_strategy",
+                            lambda plan, index, first_only=False: backend)
+    return force
+
+
+@pytest.fixture
 def edge_query():
     return parse_boolean_cq("R(x,y)")
 

@@ -2,7 +2,7 @@
 
 The headline contracts (ISSUE 10 acceptance): the async stdio front
 end answers a mixed JSONL stream byte-identical to ``repro batch run
---workers 1``; two tenants with different strategies/quotas get
+--workers 1``; two tenants with different quotas get
 independent sessions, independent budget trips, and byte-identical
 results vs solo runs; overload is answered with structured records,
 not unbounded buffering; drain answers everything in flight.  The
@@ -45,7 +45,12 @@ from repro.service import (
     TenantRegistry,
     serve_async_stdio,
 )
-from repro.service.async_daemon import PIPE_DEPTH, strip_rid, usable_cpus
+from repro.service.async_daemon import (
+    CONTROL_OPS,
+    PIPE_DEPTH,
+    strip_rid,
+    usable_cpus,
+)
 from repro.service.loadgen import default_task_lines, percentile, run_load
 from repro.structures.generators import clique_structure, cycle_structure
 
@@ -117,6 +122,22 @@ class TestAsyncParity:
         served, service = _serve_async_lines(lines, workers=3)
         assert served == batch  # byte-for-byte, in request order
         assert service.stats_counters.requests == 100
+
+    @pytest.mark.parametrize("op", ["hello", "batch"])
+    def test_stdio_refuses_connection_ops(self, op):
+        line = _stream("hom", 1, seed=3)[0]
+        served, _ = _serve_async_lines(
+            [canonical_json({"op": op, "tenant": "x", "rid": "r"}), line],
+            workers=1)
+        refusal = json.loads(served[0])
+        assert refusal["ok"] is False
+        assert refusal["op"] == op and refusal["rid"] == "r"
+        assert refusal["error"].startswith(f"{op} op needs a TCP connection")
+        # It lists the ops stdio answers, and neither refused one.
+        assert str(list(CONTROL_OPS)) in refusal["error"]
+        assert "'hello'" not in refusal["error"]
+        assert "'batch'" not in refusal["error"]
+        assert served[1:] == list(iter_results([line], workers=1))
 
     def test_tcp_ordered_connection_matches_batch_run(self):
         lines = _stream("mixed", 40, seed=7)
@@ -250,9 +271,9 @@ class TestTenancy:
             try:
                 hello_a = alice.exchange(canonical_json(
                     {"op": "hello", "tenant": "alice",
-                     "strategy": "backtrack", "max_inflight": 2}))
+                     "max_counts": 8, "max_inflight": 2}))
                 hello_b = bob.exchange(canonical_json(
-                    {"op": "hello", "tenant": "bob", "strategy": "dp",
+                    {"op": "hello", "tenant": "bob", "max_counts": 65536,
                      "max_inflight": 16}))
                 assert hello_a["ok"] and hello_b["ok"]
                 got_a = [canonical_json(alice.exchange(line))
@@ -263,12 +284,12 @@ class TestTenancy:
             finally:
                 alice.close()
                 bob.close()
-        # Different strategies, same bytes: strategy affects timing
-        # only, and each tenant's answers match the solo batch run.
+        # Different memo bounds, same bytes: an evicting memo affects
+        # timing only, and each tenant's answers match the solo batch run.
         assert got_a == solo
         assert got_b == solo
-        assert stats["alice"]["strategy"] == "backtrack"
-        assert stats["bob"]["strategy"] == "dp"
+        assert stats["alice"]["max_inflight"] == 2
+        assert stats["bob"]["max_inflight"] == 16
         assert stats["alice"]["requests"] == len(lines)
         assert stats["bob"]["requests"] == len(lines)
         # Isolated sessions: each counted its own stream.
@@ -325,6 +346,9 @@ class TestTenancy:
             try:
                 unknown = client.exchange(canonical_json(
                     {"op": "hello", "tenant": "x", "turbo": True}))
+                # The engine picks the kernel; no tenant can pin one.
+                strategy = client.exchange(canonical_json(
+                    {"op": "hello", "tenant": "x", "strategy": "dp"}))
                 bad_mode = client.exchange(canonical_json(
                     {"op": "hello", "mode": "chaos"}))
                 anon_quota = client.exchange(canonical_json(
@@ -332,6 +356,8 @@ class TestTenancy:
             finally:
                 client.close()
         assert unknown["ok"] is False and "turbo" in unknown["error"]
+        assert strategy["ok"] is False
+        assert "unknown hello key(s) ['strategy']" in strategy["error"]
         assert bad_mode["ok"] is False and "chaos" in bad_mode["error"]
         assert anon_quota["ok"] is False
         assert "tenant name" in anon_quota["error"]
@@ -354,13 +380,105 @@ class TestTenancy:
         assert any(name.startswith("conn-") for name in during)
         assert after == {"default"}
 
+    @pytest.mark.parametrize("key, value", [
+        ("max_inflight", "8"),
+        ("max_inflight", True),
+        ("deadline_ms", "soon"),
+        ("deadline_ms", float("nan")),
+        ("max_counts", "big"),
+        ("max_targets", 2.5),
+    ])
+    def test_hello_refuses_mistyped_quota_values(self, key, value):
+        line = _stream("hom", 1, seed=3)[0]
+        with AsyncDaemonHandle(workers=1) as handle:
+            client = _LineClient(handle.address)
+            try:
+                hello = client.exchange(json.dumps(
+                    {"op": "hello", "tenant": "a", key: value}))
+                # The refusal leaves the connection usable.
+                ping = client.exchange('{"op": "ping"}')
+                answer = client.exchange(line)
+            finally:
+                client.close()
+            tenants = handle.service.tenants.stats()
+        assert hello["ok"] is False and hello["op"] == "hello"
+        assert key in hello["error"]
+        assert ping["ok"] is True
+        assert answer["ok"] is True
+        assert "a" not in tenants
+
+    def test_mistyped_priority_hello_keeps_the_worker_serving(self):
+        # One worker holds both tenants, and both batches queue in
+        # its one priority heap: a str priority there would meet the
+        # other tenant's int one.  Eight tasks fill the default
+        # in-flight quota without an overloaded answer.
+        lines = _stream("hom", 8, seed=43)
+        tasks = [json.loads(line) for line in lines]
+        batch_op = canonical_json({"op": "batch", "tasks": tasks})
+        with AsyncDaemonHandle(workers=1) as handle:
+            bad = _LineClient(handle.address)
+            good = _LineClient(handle.address)
+            try:
+                assert good.exchange(canonical_json(
+                    {"op": "hello", "tenant": "b"}))["ok"]
+                hello = bad.exchange(canonical_json(
+                    {"op": "hello", "tenant": "a", "priority": "high"}))
+                bad.send(batch_op)
+                good.send(batch_op)
+                got_bad = [bad.recv() for _ in range(len(tasks) + 1)]
+                got_good = [good.recv() for _ in range(len(tasks) + 1)]
+            finally:
+                bad.close()
+                good.close()
+        # Leaving the block drained the daemon (stop() raises if not).
+        assert hello["ok"] is False and "priority" in hello["error"]
+        for got in (got_bad, got_good):
+            assert got[-1] == {"count": len(tasks), "ok": True,
+                               "op": "batch"}
+            assert all(answer["ok"] for answer in got[:-1])
+            assert sorted(answer["id"] for answer in got[:-1]) == \
+                sorted(task["id"] for task in tasks)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_task_priority_uses_the_tenant_default(self, value):
+        lines = _stream("hom", 2, seed=47)
+        batch = list(iter_results(lines, workers=1))
+        odd = json.loads(lines[0])
+        odd["priority"] = value
+        with AsyncDaemonHandle(workers=1) as handle:
+            client = _LineClient(handle.address)
+            try:
+                first = client.exchange(json.dumps(odd))
+                second = client.exchange(lines[1])
+            finally:
+                client.close()
+        assert first["ok"] is True and first["id"] == odd["id"]
+        assert canonical_json(second) == batch[1]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_priority_inside_a_batch_op(self, value):
+        lines = _stream("hom", 3, seed=53)
+        tasks = [json.loads(line) for line in lines]
+        tasks[0]["priority"] = value
+        with AsyncDaemonHandle(workers=1) as handle:
+            client = _LineClient(handle.address)
+            try:
+                client.send(json.dumps({"op": "batch", "tasks": tasks}))
+                answers = [client.recv() for _ in range(len(tasks) + 1)]
+                after = client.exchange(lines[1])
+            finally:
+                client.close()
+        assert answers[-1] == {"count": len(tasks), "ok": True,
+                               "op": "batch"}
+        assert sorted(a["id"] for a in answers[:-1]) == \
+            sorted(t["id"] for t in tasks)
+        assert after["ok"] is True
+
     def test_quota_validation(self):
         with pytest.raises(ReproError, match="max_inflight"):
             TenantQuota(max_inflight=0).validate()
         with pytest.raises(ReproError, match="deadline_ms"):
             TenantQuota(deadline_ms=-1.0).validate()
-        with pytest.raises(ReproError, match="strategy"):
-            TenantQuota(strategy="quantum").validate()
 
     def test_registry_rejects_unknown_override_keys(self):
         registry = TenantRegistry(MetricsRegistry())

@@ -39,7 +39,7 @@ from repro.hom.engine import (
     _count_bitset,
     _count_sets,
     bitset_stats,
-    count_plan,
+    choose_strategy,
     source_plan,
 )
 from repro.hom.search import count_homomorphisms_direct
@@ -280,12 +280,12 @@ def test_plan_caches_stay_lru_bounded():
     truths = []
     for target in _targets(SourcePlan._BASE_DOMAIN_CACHE + 4):
         index = TargetIndex(target)
-        truths.append(count_plan(plan, index, strategy="dp"))
-        count_plan(plan, index, strategy="backtrack")
-        count_plan(plan, index)  # auto: populates the strategy cache
+        truths.append(count_plan_dp(plan, index))
+        _count(plan, index, False)
+        choose_strategy(plan, index)  # populates the strategy cache
     for cache in (plan._base_domains, plan._dp_resolved,
                   plan._strategy_cache):
         assert len(cache) <= SourcePlan._BASE_DOMAIN_CACHE
     # Warm repeats (cache hits) still produce the same counts.
     for target, truth in list(zip(_targets(12), truths))[-3:]:
-        assert count_plan(plan, TargetIndex(target), strategy="dp") == truth
+        assert count_plan_dp(plan, TargetIndex(target)) == truth

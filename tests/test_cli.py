@@ -145,6 +145,13 @@ class TestGroupedCommands:
         err = capsys.readouterr().err
         assert "invalid choice" in err or "required" in err
 
+    def test_serve_start_has_no_strategy_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "start", "--strategy", "dp"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --strategy dp" in \
+            capsys.readouterr().err
+
 
 # ----------------------------------------------------------------------
 # cache info / flush

@@ -14,8 +14,9 @@ Three layers of guarantees:
   sources;
 * **plan selection** — the cost model picks the DP on the workloads it
   exists for (grids, long chains into dense targets) and backtracking
-  on trivia, and the engine's override knob plus per-strategy stats
-  behave.
+  on trivia, and the engine's per-backend stats behave whichever
+  backend its one dispatcher takes (tests force one by patching
+  ``choose_strategy``, the verdict the dispatcher reads).
 """
 
 import random
@@ -23,7 +24,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ReproError, StructureError
+from repro.errors import StructureError
 from repro.hom.count import count_homs
 from repro.hom.decompose import (
     FORGET,
@@ -35,12 +36,12 @@ from repro.hom.decompose import (
     gaifman_graph,
     make_nice,
 )
-from repro.hom.dpcount import count_homomorphisms_dp
+from repro.hom.dpcount import count_homomorphisms_dp, count_plan_dp
 from repro.hom.engine import (
     HomEngine,
     TargetIndex,
+    _count,
     choose_strategy,
-    count_plan,
     source_plan,
 )
 from repro.hom.search import count_homomorphisms_direct
@@ -186,19 +187,21 @@ def test_dp_matches_direct_and_backtracking(seed):
     truth = count_homomorphisms_direct(source, target)
     assert count_homomorphisms_dp(source, target) == truth
     plan, index = source_plan(source), TargetIndex(target)
-    assert count_plan(plan, index, strategy="backtrack") == truth
-    assert count_plan(plan, index, strategy="auto") == truth
+    assert _count(plan, index, False) == truth
+    assert HomEngine().count(source, target) == truth
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 100_000))
 def test_dp_engine_end_to_end_matches_direct(seed):
-    """A DP-forced engine, through the full component-factorized
-    count path, against the naive ground truth."""
+    """An engine forced onto the DP, through the full
+    component-factorized count path, against the naive ground truth."""
     source, target = _random_pair(seed)
-    engine = HomEngine(strategy="dp")
-    assert engine.count(source, target) == \
-        count_homomorphisms_direct(source, target)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.hom.engine.choose_strategy",
+                      lambda plan, index, first_only=False: "dp")
+        assert HomEngine().count(source, target) == \
+            count_homomorphisms_direct(source, target)
 
 
 def test_dp_mixed_constants_nullary_and_isolated():
@@ -216,7 +219,7 @@ def test_dp_mixed_constants_nullary_and_isolated():
         source, Structure([("R", (0, 1))], domain=[0, 1])) == 0
 
 
-def test_dp_disconnected_source_without_factorization():
+def test_dp_disconnected_source_without_factorization(force_backend):
     """count_plan_dp takes whole structures: a disconnected source
     exercises the chained-forest decomposition directly."""
     two_parts = Structure([("R", ("a", "b")), ("R", ("b", "a")),
@@ -226,7 +229,8 @@ def test_dp_disconnected_source_without_factorization():
     truth = count_homomorphisms_direct(two_parts, target)
     assert count_homomorphisms_dp(two_parts, target) == truth
     # and through the factorizing engine as well
-    assert count_homs(two_parts, target, HomEngine(strategy="dp")) == truth
+    force_backend("dp")
+    assert count_homs(two_parts, target, HomEngine()) == truth
 
 
 def test_dp_known_closed_forms():
@@ -243,7 +247,7 @@ def test_dp_known_closed_forms():
 
 
 # ----------------------------------------------------------------------
-# Plan selection and the engine knob
+# Plan selection and the engine's backend stats
 # ----------------------------------------------------------------------
 def _dense_target(size: int = 4) -> Structure:
     return Structure(
@@ -275,16 +279,18 @@ def _widths(engine):
             if name.startswith("engine.dp.width.")}
 
 
-def test_engine_strategy_knob_and_stats():
+def test_engine_strategy_knob_and_stats(force_backend):
     grid = grid_structure(2, 4, horizontal="R", vertical="S")
     target = _dense_target()
-    forced_dp = HomEngine(strategy="dp")
-    forced_bt = HomEngine(strategy="backtrack")
+    forced_dp = HomEngine()
+    forced_bt = HomEngine()
     auto = HomEngine()
     expected = count_homomorphisms_direct(grid, target)
-    assert forced_dp.count(grid, target) == expected
-    assert forced_bt.count(grid, target) == expected
     assert auto.count(grid, target) == expected
+    force_backend("dp")
+    assert forced_dp.count(grid, target) == expected
+    force_backend("backtrack")
+    assert forced_bt.count(grid, target) == expected
     assert forced_dp.stats()["engine.count.dp"] == 1
     assert forced_dp.stats()["engine.count.backtrack"] == 0
     assert _widths(forced_dp) == {"engine.dp.width.2": 1}
@@ -295,25 +301,9 @@ def test_engine_strategy_knob_and_stats():
     forced_dp.clear()
     assert forced_dp.stats()["engine.count.dp"] == 0
     assert _widths(forced_dp) == {}
-    assert forced_dp.strategy == "dp"  # clear() keeps the knob
 
 
-def test_engine_rejects_unknown_strategy():
-    with pytest.raises(ReproError, match="strategy"):
-        HomEngine(strategy="quantum")
-    with pytest.raises(ReproError, match="strategy"):
-        count_plan(source_plan(path_structure(["R"])),
-                   TargetIndex(clique_structure(3)), strategy="quantum")
-
-
-def test_forced_dp_existence_probe_is_exact():
-    engine = HomEngine(strategy="dp")
-    triangle = Structure([("R", (0, 1)), ("R", (1, 2)), ("R", (2, 0))])
-    assert engine.exists(triangle, Structure([("R", ("a", "a"))]))
-    assert not engine.exists(triangle, path_structure(["R", "R"]))
-
-
-def test_store_keys_are_shared_across_backends(tmp_path):
+def test_store_keys_are_shared_across_backends(tmp_path, force_backend):
     """A count persisted by a DP engine is a store hit for a
     backtracking engine: the store keys are canonical-component
     based and backend-agnostic."""
@@ -322,12 +312,15 @@ def test_store_keys_are_shared_across_backends(tmp_path):
     grid = grid_structure(2, 4, horizontal="R", vertical="S")
     target = _dense_target()
     path = str(tmp_path / "store")
+    force_backend("dp")
     with TieredHomStore(path) as store:
-        dp_engine = HomEngine(store=store, strategy="dp")
+        dp_engine = HomEngine(store=store)
         expected = dp_engine.count(grid, target)
+        assert dp_engine.dp_counts == 1
         dp_engine.flush_store()
+    force_backend("backtrack")
     with TieredHomStore(path) as store:
-        bt_engine = HomEngine(store=store, strategy="backtrack")
+        bt_engine = HomEngine(store=store)
         assert bt_engine.count(grid, target) == expected
         assert bt_engine.store_hits == 1
         assert bt_engine.dp_counts == 0 and bt_engine.backtrack_counts == 0
@@ -338,5 +331,5 @@ def test_dp_plan_is_shared_across_targets():
     plan = source_plan(grid)
     first = plan.dp_plan()
     for size in (3, 4, 5):
-        count_plan(plan, TargetIndex(_dense_target(size)), strategy="dp")
+        count_plan_dp(plan, TargetIndex(_dense_target(size)))
     assert plan.dp_plan() is first  # one decomposition, many targets

@@ -20,7 +20,8 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from repro.hom.count import count_homs
-from repro.hom.engine import HomEngine, TargetIndex, count_with_index
+from repro.hom.dpcount import count_plan_dp
+from repro.hom.engine import HomEngine, TargetIndex, _count, source_plan
 from repro.hom.search import count_homomorphisms_direct, exists_homomorphism
 from repro.linalg.matrix import QMatrix, gaussian_det
 from repro.structures.generators import (
@@ -58,9 +59,10 @@ def test_engine_matches_direct_on_random_pairs(seed):
 @given(seed=st.integers(0, 100_000))
 def test_count_with_index_matches_direct(seed):
     source, target = _random_pair(seed)
-    index = TargetIndex(target)
-    assert count_with_index(source, index) == \
-        count_homomorphisms_direct(source, target)
+    plan, index = source_plan(source), TargetIndex(target)
+    truth = count_homomorphisms_direct(source, target)
+    assert _count(plan, index, False) == truth
+    assert count_plan_dp(plan, index) == truth
 
 
 @settings(max_examples=60, deadline=None)

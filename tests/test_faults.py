@@ -37,7 +37,14 @@ from repro.faults import (
     should_inject,
     use_budget,
 )
-from repro.hom.engine import HomEngine
+from repro.hom.dpcount import count_plan_dp
+from repro.hom.engine import (
+    HomEngine,
+    TargetIndex,
+    _count,
+    choose_strategy,
+    source_plan,
+)
 from repro.service.client import DaemonClient, backoff_delay
 from repro.session import SolverSession
 from repro.structures.generators import clique_structure, cycle_structure
@@ -113,13 +120,19 @@ class TestKernelBudgets:
     SOURCE = cycle_structure(6, relation="E")
     TARGET = clique_structure(8, relation="E")
 
-    def _trip(self, strategy, monkeypatch, force_sets=False):
+    def _run(self, kernel):
+        """One kernel, called by name on the compiled pair."""
+        plan, index = source_plan(self.SOURCE), TargetIndex(self.TARGET)
+        if kernel == "dp":
+            return count_plan_dp(plan, index)
+        return _count(plan, index, False)
+
+    def _trip(self, kernel, monkeypatch, force_sets=False):
         if force_sets:
             monkeypatch.setattr("repro.hom.engine._BITSET_MAX_DOMAIN", 0)
-        engine = HomEngine(strategy=strategy)
         with use_budget(Budget(max_steps=100)):
             with pytest.raises(BudgetExceeded) as info:
-                engine.count(self.SOURCE, self.TARGET)
+                self._run(kernel)
         assert info.value.reason == "steps"
 
     def test_bitset_backtracking_trips(self, monkeypatch):
@@ -135,15 +148,12 @@ class TestKernelBudgets:
         self._trip("dp", monkeypatch, force_sets=True)
 
     def test_kernels_agree_without_budget(self, monkeypatch):
-        expected = HomEngine(strategy="backtrack").count(
-            self.SOURCE, self.TARGET)
-        assert HomEngine(strategy="dp").count(
-            self.SOURCE, self.TARGET) == expected
+        expected = self._run("backtrack")
+        assert expected == 7 ** 6 + 7  # chromatic polynomial of C6 at 8
+        assert self._run("dp") == expected
         monkeypatch.setattr("repro.hom.engine._BITSET_MAX_DOMAIN", 0)
-        assert HomEngine(strategy="backtrack").count(
-            self.SOURCE, self.TARGET) == expected
-        assert HomEngine(strategy="dp").count(
-            self.SOURCE, self.TARGET) == expected
+        assert self._run("backtrack") == expected
+        assert self._run("dp") == expected
 
     def test_canonicalization_respects_deadline(self):
         # The deadline must reach the labeling search, not just the
@@ -191,28 +201,21 @@ class TestDegradation:
     def test_auto_strategy_degrades_and_stays_correct(self):
         source = cycle_structure(6, relation="E")
         target = clique_structure(8, relation="E")
-        expected = HomEngine(strategy="backtrack").count(source, target)
+        # The cost model sends this pair to the DP on its own.
+        assert choose_strategy(source_plan(source),
+                               TargetIndex(target)) == "dp"
 
         before = budget_stats()["degraded"]
         # Consult index 0 is count_plan_dp's entry; the backtracking
         # retry consults again at index 1, which the plan leaves alone.
         install_fault_plan(FaultPlan({"seed": 0, "engine.step": [0]}))
         try:
-            engine = HomEngine(strategy="auto")
-            assert engine.count(source, target) == expected
+            engine = HomEngine()
+            assert engine.count(source, target) == 7 ** 6 + 7
         finally:
             clear_fault_plan()
         assert budget_stats()["degraded"] == before + 1
-
-    def test_pinned_strategy_does_not_degrade(self):
-        source = cycle_structure(6, relation="E")
-        target = clique_structure(8, relation="E")
-        install_fault_plan(FaultPlan({"seed": 0, "engine.step": [0]}))
-        try:
-            with pytest.raises(BudgetExceeded):
-                HomEngine(strategy="dp").count(source, target)
-        finally:
-            clear_fault_plan()
+        assert engine.dp_counts == 1 and engine.backtrack_counts == 1
 
 
 # ----------------------------------------------------------------------

@@ -180,10 +180,6 @@ class TestResolution:
         with pytest.raises(ReproError, match="not both"):
             SolverSession(store={}, store_path="somewhere.sqlite")
 
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ReproError, match="strategy"):
-            SolverSession(strategy="quantum")
-
 
 # ----------------------------------------------------------------------
 # Persistence ownership
