@@ -2,8 +2,9 @@
 
 The determinacy pipeline's hot spots: RREF/span membership (Lemma 31),
 inversion (Lemma 55), and the Vandermonde determinants that certify
-Step 3 of Lemma 40.  Fractions keep everything exact — these benches
-document the price (DESIGN.md §6.2).
+Step 3 of Lemma 40.  Every answer is exact: elimination runs on
+integers (fraction-free Bareiss) and Fractions appear only in the
+returned values — these benches document the price (DESIGN.md §6.6).
 """
 
 import random

@@ -21,10 +21,18 @@ test-time property checks into a CI job.  Two checks, each over
    :func:`repro.structures.isomorphism.find_isomorphism` finds a map,
    on pairs of random structures and of the WL-hard families (cliques,
    hypercubes, Paley graphs, CFI pairs and other 1-WL-equal twins),
-   each right-hand side under a fresh renaming.
+   each right-hand side under a fresh renaming;
 
-Any disagreement prints the reproducing seed + pair index and exits
-nonzero, so the CI log alone pins the counterexample.  Runs in the
+3. the integer linear algebra answers what the Fraction Gauss–Jordan
+   reference (:func:`repro.linalg.matrix.gauss_jordan`,
+   :func:`~repro.linalg.matrix.gaussian_solve`) answers, on random
+   systems — wide, tall and square, some rank-deficient, with zero,
+   negative, rational and beyond-2^64 entries: ``span_coefficients``
+   and ``QMatrix.solve`` on a consistent and an arbitrary right-hand
+   side, and ``rank``, ``nullspace`` and ``inverse``.
+
+Any disagreement prints the reproducing seed + pair (or system) index
+and exits nonzero, so the CI log alone pins the counterexample.  Runs in the
 chaos lane (it shares the "trust nothing" posture), but takes no
 fault plan: differential correctness is checked on the clean path.
 
@@ -39,6 +47,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from fractions import Fraction
 
 sys.path.insert(0, "src")
 
@@ -49,7 +58,10 @@ from repro.hom.engine import (  # noqa: E402
     _count,
     source_plan,
 )
+from repro.errors import LinalgError  # noqa: E402
 from repro.hom.search import count_homomorphisms_direct  # noqa: E402
+from repro.linalg.matrix import QMatrix, gauss_jordan, gaussian_solve  # noqa: E402
+from repro.linalg.span import span_coefficients  # noqa: E402
 from repro.structures.canonical import canonical_key  # noqa: E402
 from repro.structures.generators import (  # noqa: E402
     cfi_pair,
@@ -154,6 +166,74 @@ def check_iso_pair(index: int, rng: random.Random, families) -> int:
     return 0
 
 
+def random_entry(rng: random.Random):
+    draw = rng.random()
+    if draw < 0.3:
+        return 0
+    if draw < 0.6:
+        return rng.randint(-9, 9)
+    if draw < 0.85:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+    return rng.choice((-1, 1)) * (2 ** rng.randint(64, 72) + rng.randint(0, 99))
+
+
+def random_system(rng: random.Random) -> QMatrix:
+    nrows = rng.randint(1, args.max_size + 2)
+    ncols = nrows if rng.random() < 0.35 else rng.randint(1, args.max_size + 2)
+    rows = [[random_entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows >= 3 and rng.random() < 0.35:  # rank-deficient
+        a, b, target = rng.sample(range(nrows), 3)
+        s, t = Fraction(rng.randint(-5, 5), rng.randint(1, 3)), rng.randint(-3, 3)
+        rows[target] = [s * x + t * y for x, y in zip(rows[a], rows[b])]
+    return QMatrix(rows)
+
+
+def reference_nullspace(reduced, pivots, ncols):
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        candidate = [Fraction(0)] * ncols
+        candidate[free] = Fraction(1)
+        for row_index, pivot_col in enumerate(pivots):
+            candidate[pivot_col] = -reduced[row_index][free]
+        basis.append(tuple(candidate))
+    return basis
+
+
+def check_linalg(index: int, rng: random.Random) -> int:
+    matrix = random_system(rng)
+    reduced, pivots, transform = gauss_jordan(matrix)
+    weights = [random_entry(rng) for _ in range(matrix.ncols)]
+    arbitrary = [random_entry(rng) for _ in range(matrix.nrows)]
+    generators = matrix.columns()
+    results = {}
+    for label, rhs in (("consistent", matrix.matvec(weights)),
+                       ("arbitrary", arbitrary)):
+        expected = gaussian_solve(matrix, rhs)
+        results[f"solve {label}"] = (matrix.solve(rhs), expected)
+        results[f"span_coefficients {label}"] = (
+            span_coefficients(generators, rhs), expected)
+    results["rank"] = (matrix.rank(), len(pivots))
+    results["nullspace"] = (matrix.nullspace(),
+                            reference_nullspace(reduced, pivots, matrix.ncols))
+    if matrix.is_square():
+        try:
+            inverse = matrix.inverse()
+        except LinalgError:
+            inverse = None
+        results["inverse"] = (
+            inverse,
+            QMatrix(transform) if len(pivots) == matrix.nrows else None)
+    for operation, (value, expected) in results.items():
+        if value != expected:
+            print(f"MISMATCH at linear system {index} (seed {args.seed}): "
+                  f"{operation} = {value!r}, reference {expected!r}\n"
+                  f"  matrix={matrix!r}", file=sys.stderr)
+            return 1
+    return 0
+
+
 def main() -> int:
     rng = random.Random(args.seed)
     failures = 0
@@ -163,14 +243,20 @@ def main() -> int:
     iso_failures = 0
     for index in range(args.pairs):
         iso_failures += check_iso_pair(index, rng, families)
-    if failures or iso_failures:
-        print(f"differential check: {failures}/{args.pairs} count pairs and "
-              f"{iso_failures}/{args.pairs} iso pairs disagree "
+    linalg_failures = 0
+    for index in range(args.pairs):
+        linalg_failures += check_linalg(index, rng)
+    if failures or iso_failures or linalg_failures:
+        print(f"differential check: {failures}/{args.pairs} count pairs, "
+              f"{iso_failures}/{args.pairs} iso pairs and "
+              f"{linalg_failures}/{args.pairs} linear systems disagree "
               f"(seed {args.seed})", file=sys.stderr)
         return 1
     print(f"differential check: {args.pairs} pairs, all counting paths "
           f"agree with the oracle; {args.pairs} iso pairs, canonical "
-          f"keys agree with find_isomorphism (seed {args.seed})")
+          f"keys agree with find_isomorphism; {args.pairs} linear systems, "
+          f"the integer elimination agrees with the Fraction reference "
+          f"(seed {args.seed})")
     return 0
 
 
@@ -179,8 +265,11 @@ if __name__ == "__main__":
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--pairs", type=int, default=40,
                         help="number of random (source, target) pairs, "
-                             "and of canonical-key vs isomorphism pairs")
+                             "of canonical-key vs isomorphism pairs and "
+                             "of linear systems")
     parser.add_argument("--max-size", type=int, default=5,
-                        help="max domain size (oracle is exponential)")
+                        help="max domain size (oracle is exponential); "
+                             "linear systems have up to max-size + 2 rows "
+                             "and columns")
     args = parser.parse_args()
     sys.exit(main())

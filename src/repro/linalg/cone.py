@@ -17,19 +17,23 @@ construction of Section 7 needs:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from operator import mul
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import LinalgError
 from repro.faults.budget import active_budget
-from repro.linalg.matrix import QMatrix, QVector, vector
-from repro.linalg.span import integerize
+from repro.linalg.matrix import QMatrix, QVector, integerize, vector
 
 
 class SimplicialCone:
     """The cone spanned (with non-negative coefficients) by the columns
-    of a nonsingular square matrix."""
+    of a nonsingular square matrix.
 
-    __slots__ = ("matrix", "inverse")
+    ``M⁻¹`` is kept as integer rows ``inverse_numerators`` over one
+    positive ``inverse_denominator`` (``N / d``), so membership is a
+    sign test on an integer matrix–vector product."""
+
+    __slots__ = ("matrix", "inverse_numerators", "inverse_denominator")
 
     def __init__(self, matrix: QMatrix):
         if not matrix.is_square():
@@ -40,7 +44,8 @@ class SimplicialCone:
                 "is not good (Definition 38)"
             )
         self.matrix = matrix
-        self.inverse = matrix.inverse()
+        self.inverse_numerators, self.inverse_denominator = \
+            matrix.integer_inverse()
 
     @property
     def dimension(self) -> int:
@@ -49,17 +54,30 @@ class SimplicialCone:
     # ------------------------------------------------------------------
     # Membership
     # ------------------------------------------------------------------
+    def _scaled_image(self, point: Sequence) -> Tuple[List[int], int]:
+        """``(N·(c·p), c)`` for the positive ``c`` that makes ``p``
+        integral: ``M⁻¹ p = N·(c·p) / (c·d)``."""
+        scale, scaled = integerize(point)
+        if len(scaled) != self.dimension:
+            raise LinalgError(
+                f"point of length {len(scaled)} in a cone of dimension "
+                f"{self.dimension}")
+        return [sum(map(mul, row, scaled))
+                for row in self.inverse_numerators], scale
+
     def coefficients(self, point: Sequence) -> QVector:
         """The unique ``α`` with ``M α = point``."""
-        return self.inverse.matvec(vector(point))
+        image, scale = self._scaled_image(point)
+        denominator = scale * self.inverse_denominator
+        return tuple(Fraction(value, denominator) for value in image)
 
     def contains(self, point: Sequence) -> bool:
         """``point ∈ C`` (closed cone)."""
-        return all(a >= 0 for a in self.coefficients(point))
+        return all(value >= 0 for value in self._scaled_image(point)[0])
 
     def strictly_contains(self, point: Sequence) -> bool:
         """``point`` in the interior of ``C``."""
-        return all(a > 0 for a in self.coefficients(point))
+        return all(value > 0 for value in self._scaled_image(point)[0])
 
     # ------------------------------------------------------------------
     # Corollary 8 / Lemma 55 / Lemma 57

@@ -1,10 +1,9 @@
 """Exact rational matrices.
 
 Everything proof-carrying in this library (span membership for Lemma
-31, nonsingularity for Lemma 40, cone membership for Lemma 55/56) runs
-on exact :class:`fractions.Fraction` arithmetic — the matrices involved
-(radix-``T`` Vandermonde matrices) are catastrophically ill-conditioned
-for floating point.
+31, nonsingularity for Lemma 40, cone membership for Lemma 55/56) is
+exact — the matrices involved (radix-``T`` Vandermonde matrices) are
+catastrophically ill-conditioned for floating point.
 
 :class:`QMatrix` is a small, immutable, dependency-free implementation
 of the handful of operations we need: RREF with pivot tracking, rank,
@@ -12,16 +11,23 @@ determinant, inverse, linear solve, matrix/vector products, and
 nullspace bases.  It is not a general numerics library and does not try
 to be one.
 
-Performance (DESIGN.md §6.5): elimination runs **once** per matrix.
-A single Gauss–Jordan pass over ``[A | I]`` is cached on the instance
-as ``(R, pivots, T)`` with ``T·A = R``; ``rref``/``rank``/``solve``/
-``nullspace``/``inverse`` all read that cache instead of re-eliminating
-(``solve`` applies ``T`` to the right-hand side).  Determinants use
-**fraction-free Bareiss elimination** over scaled integer rows —
-intermediate values stay integers, so the quadratic-blowup gcd
-normalization of Fraction arithmetic never runs.  The textbook
-Fraction-based determinant is kept as :func:`gaussian_det` — it is the
-reference the Bareiss path is property-tested against.
+Elimination (DESIGN.md §6.6) runs on integers.  :func:`echelon` is
+Bareiss' fraction-free elimination over rows scaled to integers by
+their denominator LCM (:func:`integerize`): every intermediate value
+is an integer and every division is exact, so no Fraction is built or
+normalized inside the loop.  A matrix's echelon form and pivot columns
+are computed once and cached; ``rank``, ``det``, ``rref`` and
+``nullspace`` read them.  ``solve`` eliminates the augmented system
+``[A | b]`` (:func:`solve_augmented`, which span membership calls
+straight from integer vectors) and ``inverse`` the system
+``[A | S]`` (``S`` the row scales), and :func:`back_substitute` turns
+an echelon column into integer numerators over the last pivot.
+Fractions appear only in returned values.
+
+The textbook Fraction algorithms stay as references:
+:func:`gaussian_det` and the Gauss–Jordan pass :func:`gauss_jordan`
+with its :func:`gaussian_solve`.  Tests and the differential lane
+compare the integer core against them; no production code calls them.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import LinalgError
+from repro.faults.budget import active_budget
 
 Scalar = Fraction | int
 QVector = Tuple[Fraction, ...]
@@ -63,6 +70,110 @@ def dot(left: Sequence[Scalar], right: Sequence[Scalar]) -> Fraction:
                Fraction(0))
 
 
+def integerize(values: Sequence[Scalar]) -> Tuple[int, List[int]]:
+    """Smallest positive ``c`` with ``c·values`` integral, plus the
+    scaled integers (Lemma 55's "common multiple of denominators")."""
+    scale = 1
+    for value in values:
+        if type(value) is not int:
+            denominator = _to_fraction(value).denominator
+            if denominator != 1:
+                scale = scale // gcd(scale, denominator) * denominator
+    if scale == 1:
+        return 1, [int(value) for value in values]
+    return scale, [value.numerator * (scale // value.denominator)
+                   for value in values]
+
+
+def echelon(rows: List[List[int]], ncols: int) -> Tuple[Tuple[int, ...], int]:
+    """Bareiss fraction-free row echelon form of an integer matrix, in
+    place; returns ``(pivots, sign)``.
+
+    Each column takes as pivot the first row, from the current pivot
+    row down, with a non-zero entry; a column without one is skipped.
+    ``pivots`` are the pivot columns and ``sign`` the parity of the row
+    swaps.  Row ``k`` ends as the echelon row whose entries are minors
+    of the row-swapped input, so the last pivot is the minor on the
+    pivot rows and columns (the determinant, for a nonsingular square
+    input), and by Sylvester's identity every division by the
+    previous pivot is exact.  Rows below the last pivot end as zeros.
+    One step of the active budget is charged per pivot row.
+    """
+    budget = active_budget()
+    height = len(rows)
+    pivots: List[int] = []
+    sign = 1
+    previous = 1
+    for col in range(ncols):
+        top = len(pivots)
+        if top == height:
+            break
+        chosen = top
+        while chosen < height and rows[chosen][col] == 0:
+            chosen += 1
+        if chosen == height:
+            continue
+        if budget is not None:
+            budget.charge(1)
+        if chosen != top:
+            rows[top], rows[chosen] = rows[chosen], rows[top]
+            sign = -sign
+        pivot_row = rows[top]
+        pivot = pivot_row[col]
+        tail = pivot_row[col + 1:]
+        for i in range(top + 1, height):
+            row = rows[i]
+            lead = row[col]
+            if lead:
+                row[col + 1:] = [(a * pivot - lead * b) // previous
+                                 for a, b in zip(row[col + 1:], tail)]
+                row[col] = 0
+            elif pivot != previous:
+                row[col + 1:] = [a * pivot // previous for a in row[col + 1:]]
+        pivots.append(col)
+        previous = pivot
+    return tuple(pivots), sign
+
+
+def back_substitute(rows: Sequence[Sequence[int]], pivots: Sequence[int],
+                    column: Sequence[int]) -> List[int]:
+    """Solve the echelon system for one right-hand side ``column``
+    (read on the pivot rows), as integers over the last pivot ``d``:
+    ``y`` with ``x[pivots[k]] = y[k] / d``, free variables 0.
+
+    ``d`` is the minor on the pivot rows and columns, so Cramer's rule
+    makes every ``y[k]`` an integer and each division below exact.
+    """
+    rank = len(pivots)
+    last = rows[rank - 1][pivots[-1]]
+    numerators = [0] * rank
+    for k in range(rank - 1, -1, -1):
+        row = rows[k]
+        acc = last * column[k]
+        for later in range(k + 1, rank):
+            acc -= row[pivots[later]] * numerators[later]
+        numerators[k] = acc // row[pivots[k]]
+    return numerators
+
+
+def solve_augmented(rows: List[List[int]], width: int) -> Optional[QVector]:
+    """A particular solution of the integer system whose augmented rows
+    are ``rows`` (``width`` unknowns, then the right-hand side), or
+    ``None`` when it is inconsistent.  Free variables are set to 0.
+    ``rows`` is eliminated in place."""
+    pivots, _ = echelon(rows, width + 1)
+    if pivots and pivots[-1] == width:
+        return None  # a zero row of A against a non-zero right-hand side
+    solution = [_ZERO] * width
+    if pivots:
+        last = rows[len(pivots) - 1][pivots[-1]]
+        numerators = back_substitute(rows, pivots, [row[width] for row in rows])
+        for col, numerator in zip(pivots, numerators):
+            if numerator:
+                solution[col] = Fraction(numerator, last)
+    return tuple(solution)
+
+
 class QMatrix:
     """An immutable matrix over the rationals.
 
@@ -73,7 +184,7 @@ class QMatrix:
     (Fraction(-2, 1), Fraction(3, 2))
     """
 
-    __slots__ = ("rows", "nrows", "ncols", "_elimination", "_det")
+    __slots__ = ("rows", "nrows", "ncols", "_echelon")
 
     def __init__(self, rows: Sequence[Sequence[Scalar]]):
         normalized: List[QVector] = [vector(row) for row in rows]
@@ -83,8 +194,7 @@ class QMatrix:
         self.rows = tuple(normalized)
         self.nrows = len(self.rows)
         self.ncols = next(iter(widths)) if widths else 0
-        self._elimination = None
-        self._det = None
+        self._echelon = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -172,145 +282,118 @@ class QMatrix:
     # ------------------------------------------------------------------
     # Elimination
     # ------------------------------------------------------------------
-    def _eliminate(self):
-        """The cached single elimination pass.
+    def _eliminated(self):
+        """The cached integer elimination of ``A``: ``(rows, pivots,
+        sign, scale)`` — the echelon rows and pivot columns of
+        :func:`echelon`, the parity of its row swaps, and the product
+        of the row scales (``det A = sign · last pivot / scale``)."""
+        if self._echelon is None:
+            rows: List[List[int]] = []
+            scale = 1
+            for row in self.rows:
+                row_scale, ints = integerize(row)
+                rows.append(ints)
+                scale *= row_scale
+            pivots, sign = echelon(rows, self.ncols)
+            self._echelon = (rows, pivots, sign, scale)
+        return self._echelon
 
-        Runs Gauss–Jordan once over ``[A | I]`` and stores
-        ``(reduced_rows, pivots, transform_rows)`` where
-        ``transform · A = reduced`` is the RREF of ``A``.  Every
-        elimination-based operation reads this cache.
-        """
-        if self._elimination is None:
-            width = self.ncols
-            height = self.nrows
-            rows: List[List[Fraction]] = [
-                list(row) + [_ONE if i == j else _ZERO for j in range(height)]
-                for i, row in enumerate(self.rows)
-            ]
-            pivots: List[int] = []
-            pivot_row = 0
-            for col in range(width):
-                chosen = None
-                for r in range(pivot_row, height):
-                    if rows[r][col] != 0:
-                        chosen = r
-                        break
-                if chosen is None:
-                    continue
-                rows[pivot_row], rows[chosen] = rows[chosen], rows[pivot_row]
-                pivot_value = rows[pivot_row][col]
-                if pivot_value != 1:
-                    rows[pivot_row] = [v / pivot_value for v in rows[pivot_row]]
-                for r in range(height):
-                    if r != pivot_row and rows[r][col] != 0:
-                        factor = rows[r][col]
-                        pivot = rows[pivot_row]
-                        rows[r] = [a - factor * b
-                                   for a, b in zip(rows[r], pivot)]
-                pivots.append(col)
-                pivot_row += 1
-                if pivot_row == height:
-                    break
-            reduced = tuple(tuple(row[:width]) for row in rows)
-            transform = tuple(tuple(row[width:]) for row in rows)
-            self._elimination = (reduced, tuple(pivots), transform)
-        return self._elimination
+    def _reduced_rows(self) -> List[List[Fraction]]:
+        """The RREF rows: pivot columns are unit columns, and each other
+        column is read off the echelon form by back substitution."""
+        rows, pivots, _, _ = self._eliminated()
+        reduced = [[_ZERO] * self.ncols for _ in range(self.nrows)]
+        if not pivots:
+            return reduced
+        last = rows[len(pivots) - 1][pivots[-1]]
+        pivot_set = set(pivots)
+        for k, col in enumerate(pivots):
+            reduced[k][col] = _ONE
+        for col in range(pivots[0] + 1, self.ncols):
+            if col in pivot_set:
+                continue
+            numerators = back_substitute(rows, pivots, [row[col] for row in rows])
+            for k, numerator in enumerate(numerators):
+                if numerator:
+                    reduced[k][col] = Fraction(numerator, last)
+        return reduced
 
     def rref(self) -> Tuple["QMatrix", Tuple[int, ...]]:
         """Reduced row echelon form and the pivot column indices."""
-        reduced, pivots, _ = self._eliminate()
-        return QMatrix(reduced), pivots
+        return QMatrix(self._reduced_rows()), self._eliminated()[1]
 
     def rank(self) -> int:
-        _, pivots, _ = self._eliminate()
-        return len(pivots)
+        return len(self._eliminated()[1])
 
     def det(self) -> Fraction:
-        """Determinant via cached fraction-free Bareiss elimination."""
+        """Determinant from the cached fraction-free elimination."""
         if not self.is_square():
             raise LinalgError("determinant of a non-square matrix")
-        if self._det is None:
-            self._det = self._bareiss_det()
-        return self._det
-
-    def _bareiss_det(self) -> Fraction:
-        """Bareiss' fraction-free algorithm: rows are scaled to
-        integers and every intermediate division is exact, so no
-        Fraction normalization happens in the inner loop."""
-        size = self.nrows
-        if size == 0:
+        rows, pivots, sign, scale = self._eliminated()
+        if len(pivots) < self.nrows:
+            return Fraction(0)
+        if not rows:
             return Fraction(1)
-        denominator = 1
-        mat: List[List[int]] = []
-        for row in self.rows:
-            common = 1
-            for value in row:
-                common = common // gcd(common, value.denominator) * value.denominator
-            denominator *= common
-            mat.append([int(value * common) for value in row])
-        sign = 1
-        previous = 1
-        for k in range(size - 1):
-            if mat[k][k] == 0:
-                chosen = None
-                for r in range(k + 1, size):
-                    if mat[r][k] != 0:
-                        chosen = r
-                        break
-                if chosen is None:
-                    return Fraction(0)
-                mat[k], mat[chosen] = mat[chosen], mat[k]
-                sign = -sign
-            pivot = mat[k][k]
-            row_k = mat[k]
-            for i in range(k + 1, size):
-                row_i = mat[i]
-                lead = row_i[k]
-                for j in range(k + 1, size):
-                    row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // previous
-                row_i[k] = 0
-            previous = pivot
-        return Fraction(sign * mat[size - 1][size - 1], denominator)
+        return Fraction(sign * rows[-1][-1], scale)
 
     def is_nonsingular(self) -> bool:
         return self.is_square() and self.det() != 0
 
-    def inverse(self) -> "QMatrix":
+    def integer_inverse(self) -> Tuple[Tuple[Tuple[int, ...], ...], int]:
+        """``(N, d)`` with integer rows ``N``, ``d > 0`` and
+        ``A⁻¹ = N / d``: the system ``[A | S]`` (``A`` with its rows
+        scaled to integers, ``S`` the diagonal of the scales) is
+        eliminated once and each of its last ``n`` columns
+        back-substituted."""
         if not self.is_square():
             raise LinalgError("inverse of a non-square matrix")
-        _, pivots, transform = self._eliminate()
-        if pivots != tuple(range(self.nrows)):
+        size = self.nrows
+        rows: List[List[int]] = []
+        for i, row in enumerate(self.rows):
+            scale, ints = integerize(row)
+            unit = [0] * size
+            unit[i] = scale
+            rows.append(ints + unit)
+        pivots, _ = echelon(rows, 2 * size)
+        if pivots != tuple(range(size)):
             raise LinalgError("matrix is singular")
-        return QMatrix(transform)
+        if size == 0:
+            return (), 1
+        denominator = rows[-1][size - 1]
+        columns = [back_substitute(rows, pivots, [row[size + j] for row in rows])
+                   for j in range(size)]
+        common = gcd(denominator, *(v for column in columns for v in column))
+        if denominator < 0:
+            common = -common
+        numerators = tuple(tuple(column[i] // common for column in columns)
+                           for i in range(size))
+        return numerators, denominator // common
+
+    def inverse(self) -> "QMatrix":
+        numerators, denominator = self.integer_inverse()
+        return QMatrix([[Fraction(v, denominator) for v in row]
+                        for row in numerators])
 
     def solve(self, b: Sequence[Scalar]) -> Optional[QVector]:
         """A particular solution of ``A x = b``, or ``None`` when
-        inconsistent.  Free variables are set to zero.
-
-        Uses the cached elimination: with ``T·A = R`` the system is
-        consistent iff ``(T·b)_i = 0`` on every zero row of ``R``."""
+        inconsistent.  Free variables are set to zero."""
         if len(b) != self.nrows:
             raise LinalgError(f"solve: {self.nrows} rows vs rhs of {len(b)}")
-        bs = vector(b)
-        _, pivots, transform = self._eliminate()
-        transformed = [dot(row, bs) for row in transform]
-        for r in range(len(pivots), self.nrows):
-            if transformed[r] != 0:
-                return None  # zero row of R with non-zero rhs: inconsistent
-        solution = [Fraction(0)] * self.ncols
-        for row_index, col in enumerate(pivots):
-            solution[col] = transformed[row_index]
-        return tuple(solution)
+        rows = [integerize(row + (value,))[1]
+                for row, value in zip(self.rows, b)]
+        return solve_augmented(rows, self.ncols)
 
     def nullspace(self) -> List[QVector]:
         """A basis of ``{x : A x = 0}``."""
-        reduced, pivots, _ = self._eliminate()
+        reduced = self._reduced_rows()
+        pivots = self._eliminated()[1]
         pivot_set = set(pivots)
-        free_columns = [j for j in range(self.ncols) if j not in pivot_set]
         basis: List[QVector] = []
-        for free in free_columns:
-            candidate = [Fraction(0)] * self.ncols
-            candidate[free] = Fraction(1)
+        for free in range(self.ncols):
+            if free in pivot_set:
+                continue
+            candidate = [_ZERO] * self.ncols
+            candidate[free] = _ONE
             for row_index, pivot_col in enumerate(pivots):
                 candidate[pivot_col] = -reduced[row_index][free]
             basis.append(tuple(candidate))
@@ -351,7 +434,8 @@ def gaussian_det(matrix: QMatrix) -> Fraction:
 
     This is the pre-Bareiss reference implementation, kept as the
     ground truth the fraction-free path is property-tested against
-    (and as the ablation baseline for ``bench_engine.py``).
+    (and as the ablation baseline for ``bench_engine.py``); no
+    production code calls it.
     """
     if not matrix.is_square():
         raise LinalgError("determinant of a non-square matrix")
@@ -376,3 +460,65 @@ def gaussian_det(matrix: QMatrix) -> Fraction:
                 factor = rows[r][col] * inv
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
     return determinant
+
+
+def gauss_jordan(matrix: QMatrix) -> Tuple[Tuple[QVector, ...], Tuple[int, ...],
+                                           Tuple[QVector, ...]]:
+    """Textbook Fraction Gauss–Jordan over ``[A | I]``.
+
+    Returns ``(R, pivots, T)`` with ``T·A = R`` the RREF of ``A``.
+    This is the pre-Bareiss elimination, kept with
+    :func:`gaussian_solve` as the reference the integer core is tested
+    against; no production code calls it.
+    """
+    width = matrix.ncols
+    height = matrix.nrows
+    rows: List[List[Fraction]] = [
+        list(row) + [_ONE if i == j else _ZERO for j in range(height)]
+        for i, row in enumerate(matrix.rows)
+    ]
+    pivots: List[int] = []
+    pivot_row = 0
+    for col in range(width):
+        chosen = None
+        for r in range(pivot_row, height):
+            if rows[r][col] != 0:
+                chosen = r
+                break
+        if chosen is None:
+            continue
+        rows[pivot_row], rows[chosen] = rows[chosen], rows[pivot_row]
+        pivot_value = rows[pivot_row][col]
+        if pivot_value != 1:
+            rows[pivot_row] = [v / pivot_value for v in rows[pivot_row]]
+        for r in range(height):
+            if r != pivot_row and rows[r][col] != 0:
+                factor = rows[r][col]
+                pivot = rows[pivot_row]
+                rows[r] = [a - factor * b
+                           for a, b in zip(rows[r], pivot)]
+        pivots.append(col)
+        pivot_row += 1
+        if pivot_row == height:
+            break
+    reduced = tuple(tuple(row[:width]) for row in rows)
+    transform = tuple(tuple(row[width:]) for row in rows)
+    return reduced, tuple(pivots), transform
+
+
+def gaussian_solve(matrix: QMatrix, b: Sequence[Scalar]) -> Optional[QVector]:
+    """Reference solve on :func:`gauss_jordan`: with ``T·A = R`` the
+    system is consistent iff ``(T·b)_i = 0`` on every zero row of
+    ``R``; free variables are set to zero."""
+    if len(b) != matrix.nrows:
+        raise LinalgError(f"solve: {matrix.nrows} rows vs rhs of {len(b)}")
+    bs = vector(b)
+    _, pivots, transform = gauss_jordan(matrix)
+    transformed = [dot(row, bs) for row in transform]
+    for r in range(len(pivots), matrix.nrows):
+        if transformed[r] != 0:
+            return None  # zero row of R with non-zero rhs: inconsistent
+    solution = [Fraction(0)] * matrix.ncols
+    for row_index, col in enumerate(pivots):
+        solution[col] = transformed[row_index]
+    return tuple(solution)

@@ -10,9 +10,9 @@ with a witness.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from repro.linalg.matrix import QMatrix, QVector, vector
+from repro.linalg.matrix import QVector, integerize, solve_augmented, vector
 
 
 def span_coefficients(
@@ -22,22 +22,25 @@ def span_coefficients(
     """Coefficients ``α`` with ``Σ α_i · generators[i] = target``,
     or ``None`` when the target is outside the span.
 
-    The empty generator list spans only the zero vector.
+    The empty generator list spans only the zero vector.  The system
+    ``Gᵀ α = target`` is eliminated on integers straight from the
+    vectors (:func:`~repro.linalg.matrix.solve_augmented`); free
+    coefficients are 0.
 
     >>> span_coefficients([[1, 0], [0, 1]], [3, 4])
     (Fraction(3, 1), Fraction(4, 1))
     >>> span_coefficients([[1, 1]], [1, 2]) is None
     True
     """
-    target_vec = vector(target)
     if not generators:
-        return () if all(v == 0 for v in target_vec) else None
-    width = len(target_vec)
+        return () if all(v == 0 for v in vector(target)) else None
+    width = len(target)
     if any(len(g) != width for g in generators):
         raise ValueError("generator/target dimension mismatch")
-    # Solve  G^T α = target  where generators are rows of G.
-    matrix = QMatrix.from_columns([vector(g) for g in generators])
-    return matrix.solve(target_vec)
+    # Row i of the augmented system [Gᵀ | target] is coordinate i of
+    # every generator, then of the target.
+    rows = [integerize(entries)[1] for entries in zip(*generators, target)]
+    return solve_augmented(rows, len(generators))
 
 
 def in_span(generators: Sequence[Sequence], target: Sequence) -> bool:
@@ -78,18 +81,3 @@ def verify_combination(
             return False
         acc = [a + alpha * b for a, b in zip(acc, g)]
     return tuple(acc) == target_vec
-
-
-def integerize(values: Sequence[Fraction]) -> Tuple[int, List[int]]:
-    """Smallest positive ``c`` with ``c·values`` integral, plus the
-    scaled integers (Lemma 55's "common multiple of denominators")."""
-    scale = 1
-    for value in values:
-        scale = _lcm(scale, Fraction(value).denominator)
-    scaled = [int(Fraction(value) * scale) for value in values]
-    return scale, scaled
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-    return a // gcd(a, b) * b

@@ -831,7 +831,9 @@ class AsyncSolverService:
         """The answer to one control record: a line, or a future of one
         for the ops that ask the workers (stats, metrics).  The TCP,
         WebSocket and HTTP front ends intercept hello/batch before
-        calling here, so only stdio gets the refusal below."""
+        calling here, so only stdio gets the refusal below; TCP and
+        WebSocket answer an unknown op themselves, since they also
+        take hello and batch."""
         op = record.get("op")
         self.stats_counters.record_control()
         rid = record.get("rid")
@@ -871,10 +873,19 @@ class AsyncSolverService:
                 "error": f"{op} op needs a TCP connection (serve start "
                          f"--port); stdio answers task lines and the ops "
                          f"{list(CONTROL_OPS)}"})
-        return _reply({
-            "ok": False, "op": str(op),
-            "error": f"unknown control op {op!r}; "
-                     f"expected one of {list(CONTROL_OPS + CONNECTION_OPS)}"})
+        return unknown_op_line(record, CONTROL_OPS)
+
+
+def unknown_op_line(record: dict, known: Tuple[str, ...]) -> str:
+    """The refusal of a control record whose op the front end does not
+    answer; ``known`` lists the ops it does."""
+    op = record.get("op")
+    payload: Dict[str, object] = {
+        "ok": False, "op": str(op),
+        "error": f"unknown control op {op!r}; expected one of {list(known)}"}
+    if record.get("rid") is not None:
+        payload["rid"] = record["rid"]
+    return canonical_json(payload)
 
 
 def parse_control(line: str) -> Optional[dict]:
@@ -1002,6 +1013,11 @@ class _Connection:
                 return True
             if op == "batch":
                 self._handle_batch(control)
+                return True
+            if op not in CONTROL_OPS:
+                service.stats_counters.record_control()
+                self.emit_line(unknown_op_line(
+                    control, CONTROL_OPS + CONNECTION_OPS))
                 return True
             response = service.control_record(control)
             if isinstance(response, str):

@@ -139,6 +139,30 @@ class TestAsyncParity:
         assert "'batch'" not in refusal["error"]
         assert served[1:] == list(iter_results([line], workers=1))
 
+    def test_stdio_unknown_op_lists_only_the_ops_stdio_answers(self):
+        served, _ = _serve_async_lines(
+            [canonical_json({"op": "bogus", "rid": "r"})], workers=1)
+        refusal = json.loads(served[0])
+        assert refusal == {
+            "ok": False, "op": "bogus", "rid": "r",
+            "error": f"unknown control op 'bogus'; expected one of "
+                     f"{list(CONTROL_OPS)}"}
+
+    def test_tcp_unknown_op_lists_all_seven_ops(self):
+        with AsyncDaemonHandle(workers=1) as handle:
+            client = _LineClient(handle.address)
+            try:
+                refusal = client.exchange(
+                    canonical_json({"op": "bogus", "rid": "r"}))
+                assert client.exchange('{"op":"ping"}')["ok"] is True
+            finally:
+                client.close()
+        assert refusal == {
+            "ok": False, "op": "bogus", "rid": "r",
+            "error": "unknown control op 'bogus'; expected one of "
+                     "['ping', 'stats', 'metrics', 'drain', 'shutdown', "
+                     "'hello', 'batch']"}
+
     def test_tcp_ordered_connection_matches_batch_run(self):
         lines = _stream("mixed", 40, seed=7)
         batch = list(iter_results(lines, workers=1))
@@ -616,6 +640,22 @@ class TestHttpGate:
                 urllib.request.urlopen(base + "/nothing", timeout=10)
             missing.value.close()
             assert missing.value.code == 404
+
+    def test_http_unknown_op_lists_only_the_ops_http_answers(self):
+        with AsyncDaemonHandle(workers=1, http_port=0) as handle:
+            host, port = handle.http_address
+            request = urllib.request.Request(
+                f"http://{host}:{port}/task", data=b'{"op":"bogus"}',
+                method="POST")
+            try:
+                body = urllib.request.urlopen(request, timeout=10).read()
+            except urllib.error.HTTPError as refused:
+                body = refused.read()
+                refused.close()
+        assert json.loads(body) == {
+            "ok": False, "op": "bogus",
+            "error": f"unknown control op 'bogus'; expected one of "
+                     f"{list(CONTROL_OPS)}"}
 
     def test_http_draining_maps_to_503(self):
         lines = _stream("hom", 2, seed=3)

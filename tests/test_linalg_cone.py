@@ -1,13 +1,18 @@
 """Unit tests for the simplicial cone (Definitions 51/52, Corollary 8,
 Lemmas 55/57)."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from repro.batch.runner import evaluate_envelope
+from repro.batch.scenarios import generate_scenario
+from repro.batch.tasks import canonical_json
 from repro.errors import LinalgError
 from repro.linalg.cone import SimplicialCone, perturb
-from repro.linalg.matrix import QMatrix
+from repro.linalg.matrix import QMatrix, gauss_jordan
+from repro.session import SolverSession
 
 
 EXAMPLE_54 = QMatrix([[1, 4], [1, 2]])  # the paper's Figure 2 matrix
@@ -125,3 +130,106 @@ class TestLemma57Budget:
         budget.steps = 1
         with use_budget(budget), pytest.raises(BudgetExceeded):
             cone.perturbation_parameter((1, -2), center)
+
+
+# ----------------------------------------------------------------------
+# The integer inverse N/d against the Fraction reference
+# ----------------------------------------------------------------------
+def _cones():
+    yield EXAMPLE_54
+    rng = random.Random(54)
+    while True:
+        size = rng.randint(2, 5)
+        matrix = QMatrix([[rng.randint(0, 40) for _ in range(size)]
+                          for _ in range(size)])
+        if matrix.is_nonsingular():
+            yield matrix
+
+
+def _reference_coefficients(matrix, point):
+    _, _, inverse = gauss_jordan(matrix)
+    return QMatrix(inverse).matvec(point)
+
+
+class TestIntegerInverse:
+    def test_inverse_is_integer_over_a_positive_denominator(self):
+        for matrix, _ in zip(_cones(), range(20)):
+            cone = SimplicialCone(matrix)
+            assert cone.inverse_denominator > 0
+            assert all(isinstance(v, int)
+                       for row in cone.inverse_numerators for v in row)
+
+    def test_coefficients_equal_the_reference(self):
+        rng = random.Random(55)
+        for matrix, _ in zip(_cones(), range(20)):
+            cone = SimplicialCone(matrix)
+            for _ in range(5):
+                point = [Fraction(rng.randint(-50, 50), rng.randint(1, 9))
+                         for _ in range(matrix.nrows)]
+                coefficients = cone.coefficients(point)
+                assert all(isinstance(v, Fraction) for v in coefficients)
+                assert coefficients == _reference_coefficients(matrix, point)
+
+    def test_membership_on_a_facet_and_just_outside(self):
+        rng = random.Random(56)
+        for matrix, _ in zip(_cones(), range(20)):
+            cone = SimplicialCone(matrix)
+            size = matrix.nrows
+            alpha = [Fraction(rng.randint(1, 9), rng.randint(1, 5))
+                     for _ in range(size)]
+            face = rng.randrange(size)
+            for value in (Fraction(0), Fraction(-1, 10 ** 30),
+                          Fraction(1, 10 ** 30)):
+                alpha[face] = value
+                point = matrix.matvec(alpha)
+                reference = _reference_coefficients(matrix, point)
+                assert list(reference) == alpha
+                assert cone.contains(point) == all(a >= 0 for a in reference)
+                assert cone.strictly_contains(point) == \
+                    all(a > 0 for a in reference)
+                assert cone.contains(point) == (value >= 0)
+                assert cone.strictly_contains(point) == (value > 0)
+
+
+class TestLemma57Parameters:
+    """The walk answers the same ``t`` it answered with the Fraction
+    inverse: on the paper's Figure 2 matrix, and on every seeded
+    ``cq-witness`` task whose walk goes past ``t = 1 ± 2^-40`` (these
+    answered an error while the walk was capped there)."""
+
+    def test_example_54(self):
+        cone = SimplicialCone(EXAMPLE_54)
+        center = cone.interior_point()
+        expected = {(1, -2): "7/8", (1, 0): "3/4", (0, 1): "3/2",
+                    (-3, 5): "17/16", (7, -7): "31/32"}
+        for direction, parameter in expected.items():
+            assert cone.perturbation_parameter(direction, center) == \
+                Fraction(parameter)
+
+    LONG_WALKS = {
+        9: {"cq-00088": "1125899906842625/1125899906842624",
+            "cq-00132": "9444732965739290427393/9444732965739290427392",
+            "cq-00239": "9007199254740991/9007199254740992",
+            "cq-00299": "4611686018427387903/4611686018427387904",
+            "cq-00344": "38685626227668133590597633/"
+                        "38685626227668133590597632",
+            "cq-00347": "140737488355329/140737488355328"},
+        23: {"cq-00010": "4398046511103/4398046511104",
+             "cq-00079": "35184372088831/35184372088832",
+             "cq-00285": "18446744073709551615/18446744073709551616",
+             "cq-00361": "4722366482869645213697/4722366482869645213696"},
+    }
+
+    @pytest.mark.parametrize("seed", sorted(LONG_WALKS))
+    def test_long_walks_of_the_witness_corpus(self, seed):
+        expected = self.LONG_WALKS[seed]
+        records = [record for record in generate_scenario("cq-witness", 400,
+                                                          seed=seed)
+                   if record["id"] in expected]
+        assert len(records) == len(expected)
+        with SolverSession() as session:
+            for record in records:
+                answer = evaluate_envelope(canonical_json(record), session)
+                witness = answer["witness"]
+                assert witness["verified"] is True
+                assert witness["parameter"] == expected[record["id"]]

@@ -4,9 +4,16 @@ Vandermonde matrices (Facts 5/7, Lemmas 46/55 plumbing)."""
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.linalg.matrix import dot, vector
+import repro.core.decision
+import repro.ucq.analysis
+from repro.batch.runner import evaluate_envelope
+from repro.batch.scenarios import generate_scenario
+from repro.batch.tasks import canonical_json
+from repro.faults.budget import Budget, BudgetExceeded, use_budget
+from repro.linalg.matrix import QMatrix, dot, gaussian_solve, vector
 from repro.linalg.orthogonal import integer_orthogonal_witness, orthogonal_witness
 from repro.linalg.span import (
     in_span,
@@ -21,6 +28,7 @@ from repro.linalg.vandermonde import (
     vandermonde_determinant,
     vandermonde_matrix,
 )
+from repro.session import SolverSession
 
 
 class TestSpan:
@@ -36,6 +44,11 @@ class TestSpan:
     def test_empty_generators_span_zero(self):
         assert span_coefficients([], [0, 0]) == ()
         assert span_coefficients([], [1, 0]) is None
+
+    def test_zero_length_vectors_get_one_coefficient_each(self):
+        coefficients = span_coefficients([[], []], [])
+        assert coefficients == (0, 0)
+        assert verify_combination([[], []], coefficients, [])
 
     def test_rational_coefficients(self):
         coefficients = span_coefficients([[2, 0]], [1, 0])
@@ -135,3 +148,60 @@ class TestVandermonde:
 @given(values=st.lists(st.integers(-20, 20), min_size=1, max_size=5))
 def test_vandermonde_det_closed_form(values):
     assert vandermonde_matrix(values).det() == vandermonde_determinant(values)
+
+
+# ----------------------------------------------------------------------
+# The integer solve against the Fraction reference on real systems
+# ----------------------------------------------------------------------
+def _reference_span(generators, target):
+    if not generators:
+        return () if all(v == 0 for v in target) else None
+    return gaussian_solve(QMatrix.from_columns(generators), target)
+
+
+@pytest.mark.parametrize("kind", ["mixed", "ucq"])
+def test_corpus_span_systems_match_the_reference(kind, monkeypatch):
+    """Every span system a seeded corpus poses (Lemma 31 and the UCQ
+    certificate) is solved exactly as the Fraction reference solves it."""
+    systems = []
+
+    def recording(generators, target):
+        answer = span_coefficients(generators, target)
+        systems.append((generators, target, answer))
+        return answer
+
+    monkeypatch.setattr(repro.core.decision, "span_coefficients", recording)
+    monkeypatch.setattr(repro.ucq.analysis, "span_coefficients", recording)
+    with SolverSession() as session:
+        for record in generate_scenario(kind, 150, seed=17):
+            assert evaluate_envelope(canonical_json(record), session)["ok"]
+    assert len(systems) >= 30
+    assert any(answer is None for _, _, answer in systems)
+    assert any(answer for _, _, answer in systems)
+    for generators, target, answer in systems:
+        assert answer == _reference_span(generators, target), (generators, target)
+
+
+def _nonsingular_system(size: int):
+    rng = random.Random(size)
+    generators = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
+    for index, generator in enumerate(generators):
+        generator[index] = 100  # diagonally dominant: nonsingular
+    target = [rng.randint(-9, 9) for _ in range(size)]
+    return generators, target
+
+
+def test_span_elimination_charges_the_active_budget():
+    generators, target = _nonsingular_system(12)
+    with use_budget(Budget(max_steps=4)), \
+            pytest.raises(BudgetExceeded) as tripped:
+        span_coefficients(generators, target)
+    assert tripped.value.reason == "steps"
+
+
+def test_span_without_a_budget_returns_the_reference_answer():
+    generators, target = _nonsingular_system(12)
+    answer = span_coefficients(generators, target)
+    assert answer is not None
+    assert answer == _reference_span(generators, target)
+    assert verify_combination(generators, answer, target)
