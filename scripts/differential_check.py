@@ -1,9 +1,10 @@
 #!/usr/bin/env python
-"""Seeded differential check: engine vs DP vs the naive oracle, and
-canonical keys vs the pairwise isomorphism oracle.
+"""Seeded differential check: engine vs DP vs the naive oracle,
+canonical keys vs the pairwise isomorphism oracle, integer vs Fraction
+linear algebra, and component-wise existence vs the naive search.
 
 The ROADMAP's continuous differential-testing lane, promoted from
-test-time property checks into a CI job.  Two checks, each over
+test-time property checks into a CI job.  Four checks, each over
 ``--pairs`` pairs drawn from a seeded generator:
 
 1. every counting path agrees bit-for-bit on random (source, target)
@@ -29,7 +30,16 @@ test-time property checks into a CI job.  Two checks, each over
    systems — wide, tall and square, some rank-deficient, with zero,
    negative, rational and beyond-2^64 entries: ``span_coefficients``
    and ``QMatrix.solve`` on a consistent and an arbitrary right-hand
-   side, and ``rank``, ``nullspace`` and ``inverse``.
+   side, and ``rank``, ``nullspace`` and ``inverse``;
+
+4. ``HomEngine().exists``, which decides per connected component
+   through a memo of component pairs, answers what
+   :func:`repro.hom.search.exists_homomorphism` answers, on sources and
+   targets that are disjoint unions of random components — renamed
+   copies (some keeping the ``repr`` order of the constants, which
+   share a pair-memo entry), isolated elements and a 0-ary fact — and
+   on each side's part without facts of positive arity (its isolated
+   elements and 0-ary fact alone, often an empty domain).
 
 Any disagreement prints the reproducing seed + pair (or system) index
 and exits nonzero, so the CI log alone pins the counterexample.  Runs in the
@@ -59,7 +69,10 @@ from repro.hom.engine import (  # noqa: E402
     source_plan,
 )
 from repro.errors import LinalgError  # noqa: E402
-from repro.hom.search import count_homomorphisms_direct  # noqa: E402
+from repro.hom.search import (  # noqa: E402
+    count_homomorphisms_direct,
+    exists_homomorphism,
+)
 from repro.linalg.matrix import QMatrix, gauss_jordan, gaussian_solve  # noqa: E402
 from repro.linalg.span import span_coefficients  # noqa: E402
 from repro.structures.canonical import canonical_key  # noqa: E402
@@ -234,6 +247,46 @@ def check_linalg(index: int, rng: random.Random) -> int:
     return 0
 
 
+def random_union(rng: random.Random, pool) -> tuple:
+    """A disjoint union of pool components, renamed apart, with
+    isolated elements and perhaps a 0-ary fact; also its part without
+    the components."""
+    facts, domain = [], []
+    for copy in range(rng.choice((0, 0, 1, 2, 3))):
+        component = rng.choice(pool)
+        if rng.random() < 0.6:
+            names = {c: f"x{copy}_{c}" for c in component.domain()}
+        else:
+            names = {c: f"r{rng.getrandbits(20)}_{copy}"
+                     for c in component.domain()}
+        renamed = component.rename(names)
+        facts.extend(renamed.facts())
+        domain.extend(renamed.domain())
+    extras = [f"lone{i}" for i in range(rng.choice((0, 0, 1, 2)))]
+    nullary = [Fact("H", ())] if rng.random() < 0.3 else []
+    return (Structure(facts + nullary, domain=domain + extras),
+            Structure(nullary, domain=extras))
+
+
+def check_exists_pair(index: int, rng: random.Random) -> int:
+    pool = [random_connected_structure(
+        SCHEMA, rng.randint(1, max(1, args.max_size - 1)),
+        extra_density=0.2, rng=rng) for _ in range(3)]
+    source, thin_source = random_union(rng, pool)
+    target, thin_target = random_union(rng, pool)
+    for left in (source, thin_source):
+        for right in (target, thin_target):
+            engine = HomEngine().exists(left, right)
+            oracle = exists_homomorphism(left, right)
+            if engine != oracle:
+                print(f"MISMATCH at exists pair {index} (seed {args.seed}): "
+                      f"engine={engine} oracle={oracle}\n"
+                      f"  source={left!r}\n  target={right!r}",
+                      file=sys.stderr)
+                return 1
+    return 0
+
+
 def main() -> int:
     rng = random.Random(args.seed)
     failures = 0
@@ -246,17 +299,22 @@ def main() -> int:
     linalg_failures = 0
     for index in range(args.pairs):
         linalg_failures += check_linalg(index, rng)
-    if failures or iso_failures or linalg_failures:
+    exists_failures = 0
+    for index in range(args.pairs):
+        exists_failures += check_exists_pair(index, rng)
+    if failures or iso_failures or linalg_failures or exists_failures:
         print(f"differential check: {failures}/{args.pairs} count pairs, "
-              f"{iso_failures}/{args.pairs} iso pairs and "
-              f"{linalg_failures}/{args.pairs} linear systems disagree "
+              f"{iso_failures}/{args.pairs} iso pairs, "
+              f"{linalg_failures}/{args.pairs} linear systems and "
+              f"{exists_failures}/{args.pairs} exists pairs disagree "
               f"(seed {args.seed})", file=sys.stderr)
         return 1
     print(f"differential check: {args.pairs} pairs, all counting paths "
           f"agree with the oracle; {args.pairs} iso pairs, canonical "
           f"keys agree with find_isomorphism; {args.pairs} linear systems, "
-          f"the integer elimination agrees with the Fraction reference "
-          f"(seed {args.seed})")
+          f"the integer elimination agrees with the Fraction reference; "
+          f"{args.pairs} exists pairs, the component rule agrees with "
+          f"the search (seed {args.seed})")
     return 0
 
 
@@ -265,8 +323,8 @@ if __name__ == "__main__":
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--pairs", type=int, default=40,
                         help="number of random (source, target) pairs, "
-                             "of canonical-key vs isomorphism pairs and "
-                             "of linear systems")
+                             "of canonical-key vs isomorphism pairs, "
+                             "of linear systems and of existence pairs")
     parser.add_argument("--max-size", type=int, default=5,
                         help="max domain size (oracle is exponential); "
                              "linear systems have up to max-size + 2 rows "

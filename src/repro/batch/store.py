@@ -30,7 +30,10 @@ object, three tiers:
 Rows (``_SCHEMA``, in every shard): ``targets`` maps the hash of each
 distinct counting target to its canonical JSON (stored once);
 ``hom_counts`` holds exact counts and ``hom_exists`` existence
-verdicts, both keyed by ``(src, target)`` — the source's canonical key
+verdicts (of connected component pairs: the engine decides existence
+per component, DESIGN.md §6.5; rows of whole bodies written by older
+releases stay readable and go unused), both keyed by
+``(src, target)`` — the source's canonical key
 (a *complete* isomorphism invariant, identical in every process for
 every member of the class) and the target's hash.  A lookup is one
 primary-key probe, and only the target needs a JSON form.  Counts are

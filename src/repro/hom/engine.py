@@ -36,6 +36,9 @@ and strings.
     pure function of the isomorphism class, so the rampant isomorphic
     components of synthetic workloads share a single count — with no
     bucket scan and no pairwise isomorphism test on the probe path.
+    Existence probes are decided per connected component, and each
+    component pair's verdict is memoized under the two interned row
+    tables, which need no labeling (:meth:`HomEngine.exists`).
 
 Two counting backends sit behind one dispatch
 (:meth:`HomEngine._dispatch`):
@@ -85,6 +88,7 @@ from repro.faults.inject import should_inject
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import span
 from repro.structures.canonical import canonical_key, canonical_stats
+from repro.structures.components import connected_components
 from repro.structures.interned import intern_stats, interned, mask_of
 from repro.structures.structure import Structure
 
@@ -884,10 +888,10 @@ class HomEngine:
     (:func:`repro.structures.canonical.canonical_key`), so isomorphic
     components (rampant in workloads assembled from a small component
     pool) share one count — one dict probe, no bucket scan, no
-    pairwise isomorphism test.  Both caches are LRU-bounded.
+    pairwise isomorphism test.  Every cache is LRU-bounded.
     """
 
-    __slots__ = ("_counts", "_targets", "_exists",
+    __slots__ = ("_counts", "_targets", "_exists", "_exists_pairs",
                  "max_counts", "max_targets",
                  "store", "width_histogram", "metrics",
                  "_m_hits", "_m_misses", "_m_exists_hits",
@@ -907,6 +911,10 @@ class HomEngine:
         self._counts: "OrderedDict[Tuple[bytes, Structure], int]" = OrderedDict()
         self._targets: "OrderedDict[Structure, TargetIndex]" = OrderedDict()
         self._exists: "OrderedDict[Tuple[Structure, Structure], bool]" = OrderedDict()
+        # Component-pair verdicts behind ``_exists``, keyed by the two
+        # components' interned row tables (``InternedStructure.rows_key``).
+        self._exists_pairs: "OrderedDict[Tuple[tuple, tuple], bool]" = \
+            OrderedDict()
         # Every counter lives in the metrics registry under the
         # namespaced schema (repro.obs); the hot loops increment the
         # Counter objects directly (one attribute store, same cost as
@@ -924,6 +932,7 @@ class HomEngine:
         self._m_backtrack = metrics.counter("engine.count.backtrack")
         metrics.gauge("engine.memo.entries", lambda: len(self._counts))
         metrics.gauge("engine.exists.entries", lambda: len(self._exists))
+        metrics.gauge("engine.exists.pairs", lambda: len(self._exists_pairs))
         metrics.gauge("engine.targets.compiled", lambda: len(self._targets))
         metrics.register_collector(self._collect_counters, monotonic=True)
         metrics.register_collector(self._collect_gauges, monotonic=False)
@@ -931,7 +940,7 @@ class HomEngine:
         # with ``lookup(component, leaf) -> Optional[int]`` and
         # ``record(component, leaf, count)``; implementations may also
         # provide ``lookup_exists``/``record_exists`` for the
-        # Chandra–Merlin probes and ``flush``; see
+        # Chandra–Merlin probes of component pairs and ``flush``; see
         # :class:`repro.batch.store.TieredHomStore`).  Consulted on
         # in-memory misses and fed every freshly computed count, so a
         # warm store survives the process and is shared across worker
@@ -1120,7 +1129,17 @@ class HomEngine:
         return count_homs(source, target, self)
 
     def exists(self, source: Structure, target: Structure) -> bool:
-        """Memoized homomorphism-existence test (Chandra–Merlin probe)."""
+        """Memoized homomorphism-existence test (Chandra–Merlin probe).
+
+        Decided per connected component (DESIGN.md §6.5): ``source``
+        maps iff each of its components does.  An isolated element maps
+        iff ``target`` has an element, a 0-ary fact iff it is a fact of
+        ``target``, and a connected component with facts iff it maps
+        into some component of ``target`` that has facts.  The verdict
+        of each such component pair is memoized under the two row
+        tables (:meth:`_component_exists`); this memo of whole pairs
+        sits in front of it.
+        """
         key = (source, target)
         cached = self._exists.get(key)
         if cached is not None:
@@ -1128,26 +1147,65 @@ class HomEngine:
             self._m_exists_hits.value += 1
             return cached
         self._m_exists_misses.value += 1
+        result = True
+        parts = None
+        for component in connected_components(source):
+            if not component.facts():  # an isolated element
+                result = bool(target.domain())
+            elif not component.domain():  # a 0-ary fact
+                result = component.facts() <= target.facts()
+            else:
+                if parts is None:
+                    # Target components with facts, one per row table.
+                    parts = {}
+                    for part in connected_components(target):
+                        if part.domain() and part.facts():
+                            parts.setdefault(interned(part).rows_key(), part)
+                rows = interned(component).rows_key()
+                result = any(self._component_exists(component, rows,
+                                                    part, part_rows)
+                             for part_rows, part in parts.items())
+            if not result:
+                break
+        self._exists[key] = result
+        if len(self._exists) > self.max_counts:
+            self._exists.popitem(last=False)
+        return result
+
+    def _component_exists(self, component: Structure, rows: tuple,
+                          part: Structure, part_rows: tuple) -> bool:
+        """``hom(component, part) ≠ ∅`` for two connected structures with
+        facts, memoized by their row tables.  A miss consults the store,
+        then charges one step to the active budget and runs the
+        backtracking kernel."""
+        key = (rows, part_rows)
+        cached = self._exists_pairs.get(key)
+        if cached is not None:
+            self._exists_pairs.move_to_end(key)
+            return cached
         result = None
         if self.store is not None:
             lookup = getattr(self.store, "lookup_exists", None)
             if lookup is not None:
                 with span("store"):
-                    result = lookup(source, target)
+                    result = lookup(component, part)
                 if result is None:
                     self._m_store_misses.value += 1
                 else:
                     self._m_store_hits.value += 1
         if result is None:
-            result = self._dispatch(source_plan(source),
-                                    self.target_index(target), True) > 0
+            budget = active_budget()
+            if budget is not None:
+                budget.charge(1)
+            result = self._dispatch(source_plan(component),
+                                    self.target_index(part), True) > 0
             if self.store is not None:
                 record = getattr(self.store, "record_exists", None)
                 if record is not None:
-                    record(source, target, result)
-        self._exists[key] = result
-        if len(self._exists) > self.max_counts:
-            self._exists.popitem(last=False)
+                    record(component, part, result)
+        self._exists_pairs[key] = result
+        if len(self._exists_pairs) > self.max_counts:
+            self._exists_pairs.popitem(last=False)
         return result
 
     # ------------------------------------------------------------------
@@ -1180,6 +1238,7 @@ class HomEngine:
         self._counts.clear()
         self._targets.clear()
         self._exists.clear()
+        self._exists_pairs.clear()
         for counter in (self._m_hits, self._m_misses, self._m_exists_hits,
                         self._m_exists_misses, self._m_store_hits,
                         self._m_store_misses, self._m_dp,

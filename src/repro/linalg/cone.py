@@ -58,12 +58,16 @@ class SimplicialCone:
         """``(N·(c·p), c)`` for the positive ``c`` that makes ``p``
         integral: ``M⁻¹ p = N·(c·p) / (c·d)``."""
         scale, scaled = integerize(point)
+        return self._image(scaled), scale
+
+    def _image(self, scaled: Sequence[int]) -> List[int]:
+        """``N·x`` for an integer point ``x``."""
         if len(scaled) != self.dimension:
             raise LinalgError(
                 f"point of length {len(scaled)} in a cone of dimension "
                 f"{self.dimension}")
         return [sum(map(mul, row, scaled))
-                for row in self.inverse_numerators], scale
+                for row in self.inverse_numerators]
 
     def coefficients(self, point: Sequence) -> QVector:
         """The unique ``α`` with ``M α = point``."""
@@ -112,20 +116,42 @@ class SimplicialCone:
         need up to 2^-85), and the interior check guarantees a hit.
         Each step is charged to the active budget, so a deadline
         bounds it.
+
+        The walk builds no ``Fraction`` candidate (:func:`perturb`).
+        For ``t = a/b`` and ``c·p`` integral, the integer point with
+        coordinates ``(c·p)_i · a^{z_i + m} · b^{M − z_i}``, where
+        ``m = max(0, −min z)`` and ``M = max(0, max z)``, is
+        ``c·a^m·b^M`` times ``t^z ∘ p``: a positive multiple, so ``N``
+        maps it to the same signs.
         """
         if not self.strictly_contains(center):
             raise LinalgError("perturbation center must be interior")
+        exponents = _integral(direction)
+        _, scaled = integerize(center)
+        low = max(0, -min(exponents, default=0))
+        high = max(0, max(exponents, default=0))
         budget = active_budget()
         denominator = 2
         while True:
             if budget is not None:
                 budget.charge(1)
-            for t in (Fraction(denominator + 1, denominator),
-                      Fraction(denominator - 1, denominator)):
-                candidate = perturb(t, direction, center)
-                if candidate is not None and self.contains(candidate):
-                    return t
+            for numerator in (denominator + 1, denominator - 1):
+                candidate = [value * numerator ** (exponent + low)
+                             * denominator ** (high - exponent)
+                             for exponent, value in zip(exponents, scaled)]
+                if all(value >= 0 for value in self._image(candidate)):
+                    return Fraction(numerator, denominator)
             denominator *= 2
+
+
+def _integral(direction: Sequence[int]) -> Tuple[int, ...]:
+    """``direction`` as a tuple, once each entry is checked to be an
+    ``int``."""
+    exponents = tuple(direction)
+    for exponent in exponents:
+        if not isinstance(exponent, int):
+            raise LinalgError(f"direction entries must be ints, got {exponent!r}")
+    return exponents
 
 
 def perturb(t: Fraction, direction: Sequence[int], center: Sequence) -> Optional[QVector]:
@@ -134,9 +160,6 @@ def perturb(t: Fraction, direction: Sequence[int], center: Sequence) -> Optional
     rational; ``t`` must be positive.  Returns ``None`` for t <= 0."""
     if t <= 0:
         return None
-    result = []
-    for exponent, value in zip(direction, vector(center)):
-        if not isinstance(exponent, int):
-            raise LinalgError(f"direction entries must be ints, got {exponent!r}")
-        result.append(value * t ** exponent)
-    return tuple(result)
+    return tuple(value * t ** exponent
+                 for exponent, value in zip(_integral(direction),
+                                            vector(center)))

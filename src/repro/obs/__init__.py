@@ -34,6 +34,7 @@ name                                  kind       meaning
 ``engine.dp.width.<w>``               counter    DP widths (exact buckets)
 ``engine.memo.entries``               gauge      live memo size
 ``engine.exists.entries``             gauge      live exists-memo size
+``engine.exists.pairs``               gauge      live component-pair memo
 ``engine.targets.compiled``           gauge      compiled target indexes
 ``intern.structures`` / ``.hits``     counter    shared intern layer
 ``canonical.keys`` / ``.hits``        counter    canonical labelings

@@ -16,29 +16,9 @@ connected components of the involved queries.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Hashable, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.structures.structure import Fact, Structure
-
-
-class _UnionFind:
-    """Plain union-find with path compression (used for fact grouping)."""
-
-    def __init__(self):
-        self._parent: Dict[Hashable, Hashable] = {}
-
-    def find(self, item: Hashable) -> Hashable:
-        parent = self._parent.setdefault(item, item)
-        if parent == item:
-            return item
-        root = self.find(parent)
-        self._parent[item] = root
-        return root
-
-    def union(self, a: Hashable, b: Hashable) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self._parent[ra] = rb
 
 
 def connected_components(structure: Structure) -> List[Structure]:
@@ -58,29 +38,39 @@ def connected_components(structure: Structure) -> List[Structure]:
 
 @lru_cache(maxsize=1024)
 def _components_cached(structure: Structure) -> Tuple[Structure, ...]:
-    uf = _UnionFind()
-    for constant in structure.domain():
-        uf.find(("c", constant))
-    for fact in structure.facts():
-        if not fact.terms:
-            continue
-        anchor = ("c", fact.terms[0])
-        for term in fact.terms[1:]:
-            uf.union(anchor, ("c", term))
+    # Union-find over positions in one listing of the domain, with path
+    # halving: each probe indexes a list instead of hashing a constant.
+    constants = list(structure.domain())
+    position = {constant: i for i, constant in enumerate(constants)}
+    parent = list(range(len(constants)))
 
-    groups: Dict[Hashable, List] = {}
-    for constant in structure.domain():
-        root = uf.find(("c", constant))
-        groups.setdefault(root, []).append(constant)
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
 
-    facts_by_root: Dict[Hashable, List[Fact]] = {root: [] for root in groups}
+    facts = structure.facts()
+    for fact in facts:
+        terms = fact.terms
+        if len(terms) > 1:
+            root = find(position[terms[0]])
+            for term in terms[1:]:
+                other = find(position[term])
+                if other != root:
+                    parent[other] = root
+
+    groups: Dict[int, List] = {}
+    for i, constant in enumerate(constants):
+        groups.setdefault(find(i), []).append(constant)
+
+    facts_by_root: Dict[int, List[Fact]] = {root: [] for root in groups}
     nullary_facts: List[Fact] = []
-    for fact in structure.facts():
+    for fact in facts:
         if not fact.terms:
             nullary_facts.append(fact)
             continue
-        root = uf.find(("c", fact.terms[0]))
-        facts_by_root[root].append(fact)
+        facts_by_root[find(position[fact.terms[0]])].append(fact)
     if len(groups) + len(nullary_facts) == 1:
         # Already one component: an equal copy would only be a second
         # object for the structure caches to pin.

@@ -154,13 +154,14 @@ class InternedStructure:
     """
 
     __slots__ = ("table", "relations", "arities", "n_active", "n",
-                 "key_bits", "active_mask", "wl_cache")
+                 "key_bits", "active_mask", "wl_cache", "_rows_key")
 
     def __init__(self, structure: Structure):
         # Lazily filled by canonical.wl_colors: the stable full-domain
         # coloring is probed repeatedly (invariant keys, iso tests) and
         # riding on this object inherits the intern layer's lifetime.
         self.wl_cache = None
+        self._rows_key = None
         table = InternTable()
         grouped: Dict[str, List[Tuple[int, ...]]] = {}
         arities: Dict[str, int] = {}
@@ -183,6 +184,23 @@ class InternedStructure:
             name: tuple(sorted(rows)) for name, rows in grouped.items()
         }
         self.arities = arities
+
+    def rows_key(self) -> tuple:
+        """The row table ``(n, ((relation, rows), ...))``, built once.
+
+        Equal tables mean index ``i`` of one structure ↦ index ``i`` of
+        the other is an isomorphism, so anything a structure's
+        isomorphism class decides may be memoized under this key.  It
+        is not a canonical form: it needs no labeling search, and
+        isomorphic structures share it only when a renaming keeps the
+        ``repr`` order of their constants (the engine's component-pair
+        existence memo, DESIGN.md §6.5).
+        """
+        key = self._rows_key
+        if key is None:
+            key = self._rows_key = (self.n,
+                                    tuple(sorted(self.relations.items())))
+        return key
 
     def iter_facts(self):
         """All ``(relation, int_row)`` pairs, in deterministic order."""
